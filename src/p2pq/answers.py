@@ -1,10 +1,14 @@
 """Known-answer evaluation over peer fact sets.
 
 Relations are finite sets of constant tuples.  A query is evaluated by
-joining its body atoms left to right against the owning peer's facts,
-filtering by the comparison constraints, and projecting the head; the
-0-ary relations {} and {()} act as false and true, so boolean queries
-come out as one of those two values.
+matching its body atoms against the owning peer's facts
+(`queries.match_atoms`): an atom that holds a constant or shares a
+variable with the atoms already joined is joined next, and its
+candidate facts are looked up in an index keyed on its already-bound
+argument positions.  The matches are filtered by the comparison
+constraints and projected onto the head; the 0-ary relations {} and
+{()} act as false and true, so boolean queries come out as one of those
+two values.
 
 The answer to a query posed at an origin peer is assembled from the
 agent's fixpoint: every derived query is evaluated on its own peer, the
@@ -21,14 +25,7 @@ from typing import Union
 from .agent import DEFAULT_STEP_CEILING, run
 from .errors import QueryError
 from .network import LEVEL_BASE, Network, Peer
-from .queries import (
-    Atom,
-    BuiltinAtom,
-    ConjunctiveQuery,
-    Var,
-    compare_constants,
-    match_args,
-)
+from .queries import BuiltinAtom, ConjunctiveQuery, Var, compare_constants, match_atoms
 
 __all__ = ["TupleSet", "AnswerReport", "join", "evaluate", "answer", "assemble_report", "row_key"]
 
@@ -97,24 +94,8 @@ def evaluate(q: ConjunctiveQuery, peer: Peer) -> TupleSet:
     on the peer's schema."""
     if peer.query_level(q) != LEVEL_BASE:
         raise QueryError(f"query/schema mismatch: {q.name!r} is not base-level on {peer.id!r}")
-    by_pred: dict[str, list[Atom]] = {}
-    for fact in peer.facts:
-        by_pred.setdefault(fact.predicate, []).append(fact)
-
-    bindings: list[dict] = [{}]
-    for atom in q.body:
-        next_bindings = []
-        for env in bindings:
-            for fact in by_pred.get(atom.predicate, ()):
-                env2 = match_args(atom.args, fact.args, env)
-                if env2 is not None:
-                    next_bindings.append(env2)
-        bindings = next_bindings
-        if not bindings:
-            break
-
     rows = set()
-    for env in bindings:
+    for env in match_atoms(q.body, peer.facts, {}):
         if all(_constraint_holds(b, env) for b in q.builtins):
             rows.add(tuple(env[v].value for v in q.head_vars))
     return TupleSet(len(q.head_vars), frozenset(rows))

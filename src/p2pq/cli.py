@@ -22,14 +22,7 @@ from typing import Optional
 
 from .agent import DEFAULT_STEP_CEILING, trace as agent_trace
 from .answers import AnswerReport, TupleSet, answer, assemble_report, row_key
-from .errors import (
-    CeilingError,
-    NetworkSyntaxError,
-    P2pqError,
-    ParseError,
-    QueryError,
-    ValidationError,
-)
+from .errors import NetworkSyntaxError, P2pqError, ParseError, QueryError
 from .network import Network, load_network
 from .oracle import check_theorem
 from .parsing import parse_query
@@ -240,18 +233,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except NetworkSyntaxError as e:
+    except (_UsageError, NetworkSyntaxError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:
         print(f"error: cannot read {getattr(e, 'filename', args.file)!r}: {e.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, QueryError, CeilingError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
     except P2pqError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -17,6 +17,7 @@ reasoning is attempted.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -33,6 +34,7 @@ __all__ = [
     "Substitution",
     "apply",
     "homomorphisms",
+    "match_atoms",
     "contains",
     "equivalent",
     "canonicalize",
@@ -391,6 +393,101 @@ def match_args(pattern: Sequence[Term], target: Sequence[Term], env: dict) -> Op
     return out
 
 
+def _connected_order(atoms: Sequence[Atom], bound: Iterable[Var]) -> list[tuple[Atom, tuple[int, ...]]]:
+    """Search order for `match_atoms`: body order, except that an atom
+    holding a constant or sharing a variable with the atoms already
+    placed (or with `bound`) is placed as soon as it becomes ready.
+    Each atom comes with the argument positions bound when it is
+    reached, which key its candidate index."""
+    bound = set(bound)
+    ready: list[int] = []  # heap of atom indices
+    waiting: dict[Var, list[int]] = {}  # unbound variable -> atoms it would make ready
+    for i, a in enumerate(atoms):
+        for t in a.args:
+            if isinstance(t, Const) or t in bound:
+                ready.append(i)
+                break
+        else:
+            for t in a.args:
+                waiting.setdefault(t, []).append(i)
+    placed = [False] * len(atoms)
+    first_unplaced = 0
+    plan = []
+    for _ in range(len(atoms)):
+        while ready and placed[ready[0]]:
+            heapq.heappop(ready)
+        if ready:
+            i = heapq.heappop(ready)
+        else:
+            while placed[first_unplaced]:
+                first_unplaced += 1
+            i = first_unplaced
+        placed[i] = True
+        a = atoms[i]
+        plan.append((a, tuple([k for k, t in enumerate(a.args) if isinstance(t, Const) or t in bound])))
+        for t in a.args:
+            if t in waiting:
+                for j in waiting.pop(t):
+                    heapq.heappush(ready, j)
+        bound.update(a.args)  # constants too; every test above checks for them first
+    return plan
+
+
+def match_atoms(atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Var, Term]) -> Iterator[dict]:
+    """Every extension of env0 that maps each atom onto some target atom.
+
+    The atoms are joined in connected order (`_connected_order`).  An
+    atom's candidates come from an index of the targets keyed on its
+    bound argument positions; each index is built on first use and
+    shared by the atoms with the same predicate, arity and bound
+    positions.  The search keeps an explicit stack, so long bodies do
+    not recurse."""
+    env0 = dict(env0)
+    plan = _connected_order(atoms, env0)
+    if not plan:
+        yield env0
+        return
+    by_pred: dict[tuple[str, int], list[Atom]] = {}
+    for t in targets:
+        by_pred.setdefault((t.predicate, len(t.args)), []).append(t)
+    indexes: dict[tuple, dict[tuple, list[Atom]]] = {}  # (pred, positions) -> bound values -> targets
+
+    def candidates(step: int, env: dict) -> Iterator[Atom]:
+        a, positions = plan[step]
+        pred = (a.predicate, len(a.args))
+        if not positions:
+            return iter(by_pred.get(pred, ()))
+        index = indexes.get((pred, positions))
+        if index is None:
+            index = indexes[pred, positions] = {}
+            for t in by_pred.get(pred, ()):
+                index.setdefault(tuple([t.args[k] for k in positions]), []).append(t)
+        args = a.args
+        probe = tuple([env[args[k]] if isinstance(args[k], Var) else args[k] for k in positions])
+        return iter(index.get(probe, ()))
+
+    last = len(plan) - 1
+    envs = [env0]
+    stack = [candidates(0, env0)]
+    while stack:
+        step = len(stack) - 1
+        args = plan[step][0].args
+        env = envs[-1]
+        for cand in stack[-1]:
+            env2 = match_args(args, cand.args, env)
+            if env2 is None:
+                continue
+            if step == last:
+                yield env2
+            else:
+                envs.append(env2)
+                stack.append(candidates(step + 1, env2))
+                break
+        else:
+            stack.pop()
+            envs.pop()
+
+
 def _builtin_image_ok(b: BuiltinAtom, env: Mapping[Var, Term], target_builtins: frozenset[BuiltinAtom]) -> bool:
     # Constraint survival rule: the image is acceptable when it is a
     # ground comparison that holds, or is literally one of the target's
@@ -574,6 +671,17 @@ def _canonical_labeling(head_vars, body, builtins):
 
 
 @lru_cache(maxsize=65536)
+def _canonical_form(q: ConjunctiveQuery) -> ConjunctiveQuery:
+    # Keyed on structure only, since names take no part in equality:
+    # the name of the result is that of the first query seen with this
+    # structure, and `canonicalize` puts the caller's name back.
+    builtins = tuple(_dedupe(b for b in q.builtins if not (b.is_ground() and b.holds_ground())))
+    body = _dedupe(q.body)
+    body = _core_body(q, body, builtins)
+    new_head, new_body, new_builtins = _canonical_labeling(q.head_vars, body, builtins)
+    return ConjunctiveQuery(q.name, new_head, new_body, new_builtins)
+
+
 def canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """Canonical representative of q's equivalence class.
 
@@ -581,13 +689,19 @@ def canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
     body by retraction, renames variables to v0, v1, ... and orders body
     and constraints deterministically.  For constraint-free queries,
     equivalent inputs yield identical (structurally equal) outputs; the
-    name label is preserved untouched.
+    name label is q's own, whatever was canonicalized before.
+
+    The work is cached on structure; ``canonicalize.cache_clear()`` and
+    ``canonicalize.cache_info()`` reach that cache.
     """
-    builtins = tuple(_dedupe(b for b in q.builtins if not (b.is_ground() and b.holds_ground())))
-    body = _dedupe(q.body)
-    body = _core_body(q, body, builtins)
-    new_head, new_body, new_builtins = _canonical_labeling(q.head_vars, body, builtins)
-    return ConjunctiveQuery(q.name, new_head, new_body, new_builtins)
+    c = _canonical_form(q)
+    if c.name == q.name:
+        return c
+    return ConjunctiveQuery(q.name, c.head_vars, c.body, c.builtins)
+
+
+canonicalize.cache_clear = _canonical_form.cache_clear
+canonicalize.cache_info = _canonical_form.cache_info
 
 
 def freshen(q: ConjunctiveQuery, avoid: Iterable[str]) -> ConjunctiveQuery:

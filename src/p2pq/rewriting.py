@@ -34,7 +34,7 @@ from .queries import (
     canonicalize,
     equivalent,
     freshen,
-    match_args,
+    match_atoms,
 )
 
 __all__ = ["ViewExpression", "split_builtins", "minicon", "subst", "unfold", "rew"]
@@ -63,28 +63,6 @@ def split_builtins(q: ConjunctiveQuery) -> tuple[ConjunctiveQuery, tuple[Builtin
     return reduct, q.builtins
 
 
-def _definition_homs(defn: ConjunctiveQuery, target_body: tuple[Atom, ...]) -> list[dict]:
-    """All maps of the definition's variables into the target's terms
-    such that every definition atom lands in the target body."""
-    by_pred: dict[tuple[str, int], list[Atom]] = {}
-    for a in target_body:
-        by_pred.setdefault((a.predicate, len(a.args)), []).append(a)
-    results: list[dict] = []
-
-    def rec(i: int, env: dict):
-        if i == len(defn.body):
-            results.append(env)
-            return
-        a = defn.body[i]
-        for cand in by_pred.get((a.predicate, len(a.args)), ()):
-            env2 = match_args(a.args, cand.args, env)
-            if env2 is not None:
-                rec(i + 1, env2)
-
-    rec(0, {})
-    return results
-
-
 def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) -> Optional[ViewExpression]:
     """Search for a view expression over `views` equivalent to q.
 
@@ -99,15 +77,14 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
     if q.builtins:
         raise QueryError(f"minicon expects a constraint-free query, got {q.name!r}")
 
-    candidates: list[Atom] = []
-    seen = set()
-    for view in views:
-        for theta in _definition_homs(view.definition, q.body):
-            atom = Atom(view.name, tuple(theta[v] for v in view.definition.head_vars))
-            if atom not in seen:
-                seen.add(atom)
-                candidates.append(atom)
-    candidates.sort(key=atom_key)
+    candidates = sorted(
+        {
+            Atom(view.name, tuple(theta[v] for v in view.definition.head_vars))
+            for view in views
+            for theta in match_atoms(view.definition.body, q.body, {})
+        },
+        key=atom_key,
+    )
 
     head_set = set(q.head_vars)
     views = tuple(views)

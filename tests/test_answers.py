@@ -6,9 +6,13 @@ import pytest
 
 from p2pq import (
     Atom,
+    ConjunctiveQuery,
     Const,
+    Peer,
     QueryError,
+    RelationSignature,
     TupleSet,
+    Var,
     answer,
     assemble_report,
     contains,
@@ -145,6 +149,17 @@ def test_evaluate_matches_nested_loop_oracle():
         peer = rng.choice(net.peers)
         q = rand_query(rng, peer.relations(), max_atoms=3, builtin_prob=0.4)
         assert evaluate(q, peer) == nested_loop_evaluate(q, peer), f"{q} on {peer.id}"
+
+
+def test_evaluate_long_chain_is_iterative():
+    # the constant at the chain's end is the only place to start from
+    n = 1200
+    xs = [Var(f"x{i}") for i in range(n)]
+    body = [Atom("R", (xs[i], xs[i + 1])) for i in range(n - 1)] + [Atom("R", (xs[-1], Const(n)))]
+    q = ConjunctiveQuery("q", (xs[0],), tuple(body))
+    facts = frozenset(Atom("R", (Const(i), Const(i + 1))) for i in range(n + 5))
+    peer = Peer("P", (RelationSignature("R", 2),), (), facts)
+    assert evaluate(q, peer) == ts(1, (0,))
 
 
 def test_answer_two_peer():

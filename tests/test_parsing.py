@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from p2pq import (
@@ -104,3 +107,14 @@ def test_query_text_round_trip():
     for text in texts:
         q = parse_query(text)
         assert parse_query(str(q)) == q
+
+
+def test_readme_query_syntax_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Query syntax", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    examples = [line for line in block.splitlines() if line.strip()]
+    examples += re.findall(r"`([^`]*:-[^`]*)`", section)
+    assert len(examples) >= 2
+    for text in examples:
+        parse_query(text)

@@ -149,6 +149,17 @@ def test_canonicalize_is_idempotent_and_head_named():
     assert c.head_vars == (Var("v0"), Var("v1"))
 
 
+def test_canonicalize_keeps_the_callers_name():
+    alpha = parse_query("alpha(x) :- R(x, y)")
+    beta = parse_query("beta(x) :- R(x, y)")
+    canonicalize.cache_clear()
+    assert canonicalize(alpha).name == "alpha"
+    # same structure: served from the cache, under the caller's name
+    assert canonicalize(beta).name == "beta"
+    assert canonicalize.cache_info().hits == 1
+    assert canonicalize(beta) == canonicalize(alpha)
+
+
 def test_canonicalize_drops_ground_true_builtins():
     q = parse_query("q(x) :- R(x), 1 < 2")
     assert canonicalize(q).builtins == ()
