@@ -4,6 +4,9 @@ Terms, atoms, comparison constraints, queries, substitutions, and the
 operations the rest of the package is built on: homomorphism search,
 containment, equivalence, canonical forms, and fresh renaming.
 
+One indexed, iterative atom matcher, `match_atoms`, serves evaluation
+over facts, view folding, containment and core retraction.
+
 Everything here is an immutable value and every operation is a pure
 function, so results can be cached and shared freely.
 
@@ -17,9 +20,9 @@ reasoning is attempted.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import QueryError
@@ -315,13 +318,6 @@ class Substitution:
     def domain(self) -> frozenset[Var]:
         return frozenset(self.mapping)
 
-    def is_idempotent(self) -> bool:
-        """True when applying twice cannot differ from applying once."""
-        for v, t in self.mapping.items():
-            if isinstance(t, Var) and t in self.mapping and self.mapping[t] != t:
-                return False
-        return True
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Substitution):
             return NotImplemented
@@ -393,43 +389,52 @@ def match_args(pattern: Sequence[Term], target: Sequence[Term], env: dict) -> Op
     return out
 
 
-def _connected_order(atoms: Sequence[Atom], bound: Iterable[Var]) -> list[tuple[Atom, tuple[int, ...]]]:
+def _connected_order(atoms: Sequence[Atom], bound: Iterable[Var]) -> list[tuple[Atom, int]]:
     """Search order for `match_atoms`: body order, except that an atom
     holding a constant or sharing a variable with the atoms already
     placed (or with `bound`) is placed as soon as it becomes ready.
-    Each atom comes with the argument positions bound when it is
-    reached, which key its candidate index."""
-    bound = set(bound)
+    Each atom comes with its first argument position that is bound
+    when it is reached (-1 if none), which keys its candidate index.
+    The bookkeeping is keyed on variable names, whose hashing is
+    native."""
+    bound = {v.name for v in bound}
     ready: list[int] = []  # heap of atom indices
-    waiting: dict[Var, list[int]] = {}  # unbound variable -> atoms it would make ready
+    waiting: dict[str, list[int]] = {}  # unbound variable name -> atoms it would make ready
     for i, a in enumerate(atoms):
         for t in a.args:
-            if isinstance(t, Const) or t in bound:
+            if isinstance(t, Const) or t.name in bound:
                 ready.append(i)
                 break
         else:
             for t in a.args:
-                waiting.setdefault(t, []).append(i)
+                waiting.setdefault(t.name, []).append(i)
     placed = [False] * len(atoms)
     first_unplaced = 0
     plan = []
-    for _ in range(len(atoms)):
+    for _ in atoms:
         while ready and placed[ready[0]]:
-            heapq.heappop(ready)
+            heappop(ready)
         if ready:
-            i = heapq.heappop(ready)
+            i = heappop(ready)
         else:
             while placed[first_unplaced]:
                 first_unplaced += 1
             i = first_unplaced
         placed[i] = True
         a = atoms[i]
-        plan.append((a, tuple([k for k, t in enumerate(a.args) if isinstance(t, Const) or t in bound])))
+        key = -1
+        for k, t in enumerate(a.args):
+            if isinstance(t, Const) or t.name in bound:
+                key = k
+                break
+        plan.append((a, key))
         for t in a.args:
-            if t in waiting:
-                for j in waiting.pop(t):
-                    heapq.heappush(ready, j)
-        bound.update(a.args)  # constants too; every test above checks for them first
+            if isinstance(t, Var):
+                name = t.name
+                if name in waiting:
+                    for j in waiting.pop(name):
+                        heappush(ready, j)
+                bound.add(name)
     return plan
 
 
@@ -437,11 +442,11 @@ def match_atoms(atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Va
     """Every extension of env0 that maps each atom onto some target atom.
 
     The atoms are joined in connected order (`_connected_order`).  An
-    atom's candidates come from an index of the targets keyed on its
-    bound argument positions; each index is built on first use and
-    shared by the atoms with the same predicate, arity and bound
-    positions.  The search keeps an explicit stack, so long bodies do
-    not recurse."""
+    atom's candidates come from an index of the targets on its first
+    bound argument position; each index is built on first use and
+    shared by the atoms with the same predicate, arity and position.
+    The search keeps an explicit stack, so long bodies do not
+    recurse."""
     env0 = dict(env0)
     plan = _connected_order(atoms, env0)
     if not plan:
@@ -450,21 +455,20 @@ def match_atoms(atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Va
     by_pred: dict[tuple[str, int], list[Atom]] = {}
     for t in targets:
         by_pred.setdefault((t.predicate, len(t.args)), []).append(t)
-    indexes: dict[tuple, dict[tuple, list[Atom]]] = {}  # (pred, positions) -> bound values -> targets
+    indexes: dict[tuple, dict[Term, list[Atom]]] = {}  # (pred, arity, position) -> term there -> targets
 
     def candidates(step: int, env: dict) -> Iterator[Atom]:
-        a, positions = plan[step]
+        a, k = plan[step]
         pred = (a.predicate, len(a.args))
-        if not positions:
+        if k < 0:
             return iter(by_pred.get(pred, ()))
-        index = indexes.get((pred, positions))
+        index = indexes.get((pred, k))
         if index is None:
-            index = indexes[pred, positions] = {}
+            index = indexes[pred, k] = {}
             for t in by_pred.get(pred, ()):
-                index.setdefault(tuple([t.args[k] for k in positions]), []).append(t)
-        args = a.args
-        probe = tuple([env[args[k]] if isinstance(args[k], Var) else args[k] for k in positions])
-        return iter(index.get(probe, ()))
+                index.setdefault(t.args[k], []).append(t)
+        t = a.args[k]
+        return iter(index.get(env[t] if isinstance(t, Var) else t, ()))
 
     last = len(plan) - 1
     envs = [env0]
@@ -500,34 +504,19 @@ def _builtin_image_ok(b: BuiltinAtom, env: Mapping[Var, Term], target_builtins: 
     return image in target_builtins
 
 
-def _hom_search(frm: ConjunctiveQuery, to: ConjunctiveQuery, find_all: bool) -> list[dict]:
+def _homs(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> Iterator[dict]:
+    """`match_atoms` from frm's body into to's, with frm's head mapped
+    onto to's head pointwise, keeping the envs under which every
+    constraint of frm survives."""
     if len(frm.head_vars) != len(to.head_vars):
         raise QueryError(
             f"incomparable queries: head arity {len(frm.head_vars)} vs {len(to.head_vars)}"
         )
-    env0: dict = dict(zip(frm.head_vars, to.head_vars))
-    by_pred: dict[tuple[str, int], list[Atom]] = {}
-    for a in to.body:
-        by_pred.setdefault((a.predicate, len(a.args)), []).append(a)
+    envs = match_atoms(frm.body, to.body, dict(zip(frm.head_vars, to.head_vars)))
+    if not frm.builtins:
+        return envs
     target_builtins = frozenset(to.builtins)
-    atoms = frm.body
-    results: list[dict] = []
-
-    def rec(i: int, env: dict) -> bool:
-        if i == len(atoms):
-            if all(_builtin_image_ok(b, env, target_builtins) for b in frm.builtins):
-                results.append(env)
-                return not find_all
-            return False
-        a = atoms[i]
-        for cand in by_pred.get((a.predicate, len(a.args)), ()):
-            env2 = match_args(a.args, cand.args, env)
-            if env2 is not None and rec(i + 1, env2):
-                return True
-        return False
-
-    rec(0, env0)
-    return results
+    return (env for env in envs if all(_builtin_image_ok(b, env, target_builtins) for b in frm.builtins))
 
 
 def homomorphisms(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> list[Substitution]:
@@ -537,7 +526,7 @@ def homomorphisms(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> list[Substitut
 
     Queries with different head arities are incomparable and raise.
     """
-    return [Substitution(m) for m in _hom_search(frm, to, find_all=True)]
+    return [Substitution(m) for m in _homs(frm, to)]
 
 
 @lru_cache(maxsize=131072)
@@ -545,7 +534,7 @@ def contains(general: ConjunctiveQuery, specific: ConjunctiveQuery) -> bool:
     """True iff a homomorphism from `general` into `specific` exists,
     i.e. every answer of `specific` is an answer of `general` on every
     database (sound; incomplete only across constraint implications)."""
-    return bool(_hom_search(general, specific, find_all=False))
+    return next(_homs(general, specific), None) is not None
 
 
 def equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
@@ -585,13 +574,13 @@ def _core_body(q: ConjunctiveQuery, body: list[Atom], builtins: tuple[BuiltinAto
     changed = True
     while changed and len(body) > 1:
         changed = False
+        full = ConjunctiveQuery(q.name, q.head_vars, tuple(body), builtins)
         for idx in range(len(body)):
             candidate = body[:idx] + body[idx + 1 :]
             if not _retraction_target_ok(q.head_vars, candidate, builtins):
                 continue
-            full = ConjunctiveQuery(q.name, q.head_vars, tuple(body), builtins)
             reduced = ConjunctiveQuery(q.name, q.head_vars, tuple(candidate), builtins)
-            if _hom_search(full, reduced, find_all=False):
+            if next(_homs(full, reduced), None) is not None:
                 body = candidate
                 changed = True
                 break

@@ -55,12 +55,7 @@ class ViewExpression:
 def split_builtins(q: ConjunctiveQuery) -> tuple[ConjunctiveQuery, tuple[BuiltinAtom, ...]]:
     """Split q into its relational reduct and its constraint list.  The
     reduct keeps name, head, and body."""
-    reduct = ConjunctiveQuery(q.name, q.head_vars, q.body, ())
-    for b in q.builtins:
-        for v in b.variables():
-            if v not in reduct.body_var_set():
-                raise QueryError(f"unsafe constraint {b}: variable {v} not bound in body")
-    return reduct, q.builtins
+    return ConjunctiveQuery(q.name, q.head_vars, q.body, ()), q.builtins
 
 
 def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) -> Optional[ViewExpression]:

@@ -72,6 +72,30 @@ def brute_force_contains(general: ConjunctiveQuery, specific: ConjunctiveQuery) 
     return False
 
 
+def brute_force_homomorphisms(general: ConjunctiveQuery, specific: ConjunctiveQuery) -> set:
+    """Every homomorphism from the general query into the specific one,
+    each as a frozenset of (variable, term) pairs, by exhaustive
+    enumeration of the maps from the general query's variables into the
+    specific query's terms."""
+    if len(general.head_vars) != len(specific.head_vars):
+        raise QueryError("incomparable queries")
+    gvars = general.variables()
+    terms = _all_terms(specific)
+    body = set(specific.body)
+    builtins = frozenset(specific.builtins)
+    found = set()
+    for assignment in itertools.product(terms, repeat=len(gvars)):
+        env = dict(zip(gvars, assignment))
+        if any(env[v] != w for v, w in zip(general.head_vars, specific.head_vars)):
+            continue
+        if all(
+            Atom(a.predicate, tuple(env.get(t, t) if isinstance(t, Var) else t for t in a.args)) in body
+            for a in general.body
+        ) and all(_image_ok(b, env, builtins) for b in general.builtins):
+            found.add(frozenset(env.items()))
+    return found
+
+
 def nested_loop_evaluate(q: ConjunctiveQuery, peer) -> TupleSet:
     """Evaluation by enumerating every assignment of the query's body
     variables into the active domain."""

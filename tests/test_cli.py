@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from p2pq import answer, load_network, parse_query
 from p2pq.cli import answer_report_from_dict, main
 
-TWO_PEER = Path(__file__).resolve().parent.parent / "demos" / "networks" / "two_peer.json"
+ROOT = Path(__file__).resolve().parent.parent
+TWO_PEER = ROOT / "demos" / "networks" / "two_peer.json"
 NET = str(TWO_PEER)
 
 
@@ -157,3 +159,20 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "network OK" in proc.stdout
+
+
+def test_readme_command_line_examples(monkeypatch, capsys):
+    # every `$ p2pq ...` line of the README's "Command line" block, run
+    # from the repository root, prints exactly the text shown under it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = ("\n" + block).split("\n$ ")[1:]
+    assert len(examples) == 4
+    monkeypatch.chdir(ROOT)
+    for example in examples:
+        command, _, shown = example.partition("\n")
+        argv = shlex.split(command)
+        assert argv[0] == "p2pq"
+        assert main(argv[1:]) == 0, command
+        assert capsys.readouterr().out == shown.strip("\n") + "\n", command
