@@ -64,7 +64,6 @@ from .queries import (
     canonicalize,
     contains,
     equivalent,
-    freshen,
     homomorphisms,
 )
 from .rewriting import ViewExpression, minicon, rew, split_builtins, subst, unfold
@@ -113,7 +112,6 @@ __all__ = [
     "equivalent",
     "evaluate",
     "expand",
-    "freshen",
     "homomorphisms",
     "join",
     "row_key",

@@ -2,7 +2,7 @@
 
 Terms, atoms, comparison constraints, queries, substitutions, and the
 operations the rest of the package is built on: homomorphism search,
-containment, equivalence, canonical forms, and fresh renaming.
+containment, equivalence, and canonical forms.
 
 One indexed, iterative atom matcher, `match_atoms`, serves evaluation
 over facts, view folding, containment and core retraction.
@@ -41,7 +41,6 @@ __all__ = [
     "contains",
     "equivalent",
     "canonicalize",
-    "freshen",
     "term_key",
     "atom_key",
     "match_args",
@@ -299,7 +298,7 @@ class Substitution:
     variables.  Such swap maps arise as homomorphisms between queries
     that happen to share variable names; callers that need a rewriting
     substitution (apply twice = apply once) must keep domain and range
-    apart, which `freshen` makes easy.
+    apart.
     """
 
     __slots__ = ("mapping",)
@@ -692,19 +691,3 @@ def canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
 canonicalize.cache_clear = _canonical_form.cache_clear
 canonicalize.cache_info = _canonical_form.cache_info
 
-
-def freshen(q: ConjunctiveQuery, avoid: Iterable[str]) -> ConjunctiveQuery:
-    """Alpha-rename q so that none of its variables is named in `avoid`.
-    Names not in `avoid` are kept; clashes get a numeric suffix."""
-    used = set(avoid)
-    mapping: dict[Var, Var] = {}
-    for v in q.variables():
-        name = v.name
-        if name in used:
-            i = 2
-            while f"{name}_{i}" in used:
-                i += 1
-            name = f"{name}_{i}"
-        mapping[v] = Var(name)
-        used.add(name)
-    return apply(Substitution(mapping), q)

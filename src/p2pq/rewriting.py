@@ -28,12 +28,12 @@ from .queries import (
     Atom,
     BuiltinAtom,
     ConjunctiveQuery,
-    Substitution,
-    apply,
+    Term,
+    Var,
     atom_key,
     canonicalize,
-    equivalent,
-    freshen,
+    contains,
+    equivalent,  # unused here; perfbench's tracer wraps rewriting.equivalent
     match_atoms,
 )
 
@@ -68,6 +68,11 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
     ascending size and lexicographic atom order and the first equivalent
     one is returned, so the choice is deterministic; None means no
     equivalent rewriting exists within the bound.
+
+    Only the containment that can fail is tested.  Every candidate is a
+    view folded into q, so mapping each instance's variables as its fold
+    did maps unfold(psi) into q: unfold(psi) always contains q.  psi is
+    equivalent to q iff q also contains unfold(psi).
     """
     if q.builtins:
         raise QueryError(f"minicon expects a constraint-free query, got {q.name!r}")
@@ -89,7 +94,7 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
             if not head_set <= covered:
                 continue
             psi = ViewExpression(ConjunctiveQuery(q.name, q.head_vars, combo, ()), owner)
-            if equivalent(unfold(psi, views), q):
+            if contains(q, unfold(psi, views)):
                 return psi
     return None
 
@@ -115,10 +120,11 @@ def subst(psi: ViewExpression, group: Sequence[MappingPair], owner: str) -> Opti
 def unfold(phi: ViewExpression, views: Sequence[ViewDefinition]) -> ConjunctiveQuery:
     """Expand every view atom of phi with its definition.
 
-    Definition head variables are unified with the atom's arguments;
-    each instance gets fresh existential variables, pairwise distinct
-    across instances.  Raises UnknownViewError for an undefined view
-    name and "malformed mapping" when an atom's arity disagrees with the
+    Each instance gets one renaming: every definition variable keeps its
+    name if unused so far, else takes the first free ``name_2``,
+    ``name_3``, ...; then the head variables become the atom's
+    arguments.  Raises UnknownViewError for an undefined view name and
+    "malformed mapping" when an atom's arity disagrees with the
     definition.
     """
     defs = {v.name: v for v in views}
@@ -134,10 +140,18 @@ def unfold(phi: ViewExpression, views: Sequence[ViewDefinition]) -> ConjunctiveQ
                 f"malformed mapping: view {a.predicate!r} used with arity "
                 f"{len(a.args)}, defined with {len(defn.head_vars)}"
             )
-        inst = freshen(defn, used)
-        used.update(v.name for v in inst.variables())
-        unifier = Substitution(dict(zip(inst.head_vars, a.args)))
-        body.extend(apply(unifier, atom) for atom in inst.body)
+        rename: dict[Var, Term] = {}
+        for v in defn.variables():
+            name = v.name
+            if name in used:
+                i = 2
+                while f"{name}_{i}" in used:
+                    i += 1
+                name = f"{name}_{i}"
+            used.add(name)
+            rename[v] = Var(name)
+        rename.update(zip(defn.head_vars, a.args))
+        body.extend(Atom(b.predicate, tuple(rename.get(t, t) for t in b.args)) for b in defn.body)
     q = phi.query
     return ConjunctiveQuery(q.name, q.head_vars, tuple(body), q.builtins)
 
@@ -164,13 +178,10 @@ def rew(q: ConjunctiveQuery, net: Network, i: str, j: str) -> Optional[Conjuncti
     psi = minicon(reduct, mapped_views, owner=i)
     if psi is None:
         return None
-    phi = subst(psi, group, owner=j)
-    if phi is None:
-        return None
-    try:
-        base = unfold(phi, peer_j.views)
-    except UnknownViewError:
-        return None
+    # psi uses only views the group maps, and the network checked that
+    # each mapped view exists on j with the same arity, so neither
+    # subst nor unfold can fail here
+    base = unfold(subst(psi, group, owner=j), peer_j.views)
 
     # constraints ride through unchanged; if a constrained variable did
     # not survive the rewriting there is nothing to attach them to

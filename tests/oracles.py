@@ -21,7 +21,7 @@ from p2pq import (
     unfold,
 )
 from p2pq.errors import QueryError
-from p2pq.queries import compare_constants, term_key
+from p2pq.queries import atom_key, compare_constants, term_key
 
 
 def _all_terms(q: ConjunctiveQuery):
@@ -185,4 +185,46 @@ def brute_force_equivalent_rewriting(q: ConjunctiveQuery, views, owner: str):
                     continue
                 if equivalent(unfold(psi, views), q):
                     return psi
+    return None
+
+
+def _fold(defn: ConjunctiveQuery, images):
+    """The map sending each atom of defn's body onto the image at the
+    same position, or None when no such map exists."""
+    env = {}
+    for a, b in zip(defn.body, images):
+        if a.predicate != b.predicate or len(a.args) != len(b.args):
+            return None
+        for s, t in zip(a.args, b.args):
+            if isinstance(s, Var):
+                if env.setdefault(s, t) != t:
+                    return None
+            elif s != t:
+                return None
+    return env
+
+
+def reference_minicon(q: ConjunctiveQuery, views, owner: str):
+    """minicon written plainly: fold each view into q by trying every
+    tuple of q's body atoms as the images of its body, sort the folded
+    view atoms by atom_key, and return the first combination, in
+    ascending size, whose unfolding is equivalent to q, testing
+    containment in both directions."""
+    views = tuple(views)
+    candidates = set()
+    for view in views:
+        defn = view.definition
+        for images in itertools.product(q.body, repeat=len(defn.body)):
+            env = _fold(defn, images)
+            if env is not None:
+                candidates.add(Atom(view.name, tuple(env[v] for v in defn.head_vars)))
+    candidates = sorted(candidates, key=atom_key)
+    head_set = set(q.head_vars)
+    for size in range(1, min(len(q.body), len(candidates)) + 1):
+        for combo in itertools.combinations(candidates, size):
+            if not head_set <= {t for a in combo for t in a.args if isinstance(t, Var)}:
+                continue
+            psi = ViewExpression(ConjunctiveQuery(q.name, q.head_vars, combo, ()), owner)
+            if equivalent(unfold(psi, views), q):
+                return psi
     return None

@@ -16,7 +16,6 @@ from p2pq import (
     canonicalize,
     contains,
     equivalent,
-    freshen,
     homomorphisms,
     parse_query,
 )
@@ -197,15 +196,6 @@ def test_canonical_forms_equal_iff_equivalent():
         assert same == eq, f"{a} || {b}"
         seen_equivalent += eq
     assert seen_equivalent > 0  # the generator must exercise the interesting case
-
-
-def test_freshen_avoids_clashes_only():
-    q = parse_query("q(x) :- R(x, y)")
-    f = freshen(q, {"y"})
-    assert Var("x") in f.head_vars
-    assert Var("y") not in f.body_var_set()
-    assert equivalent(f, q)
-    assert freshen(q, {"z"}) == q
 
 
 @given(st.integers(0, 10**9))

@@ -21,7 +21,7 @@ from p2pq import (
     unfold,
 )
 from generators import rand_network, rand_peer_query
-from oracles import brute_force_equivalent_rewriting
+from oracles import brute_force_equivalent_rewriting, reference_minicon
 
 TWO_PEER = Path(__file__).resolve().parent.parent / "demos" / "networks" / "two_peer.json"
 
@@ -59,6 +59,11 @@ def test_unfold_freshens_against_capture():
     q = unfold(phi, defs)
     assert equivalent(q, parse_query("q(y) :- R(y, z)"))
     assert not equivalent(q, parse_query("q(y) :- R(y, y)"))
+    # exact names: a clash takes the first free suffix, and each
+    # instance reserves its head variables' fresh names too
+    defs = views("v(x) :- R(x, y)", "w(y, z) :- S(y, x), T(x, z)")
+    phi = ViewExpression(parse_query("q(y) :- v(y), v(y_2), w(y, x)"), "P")
+    assert str(unfold(phi, defs)) == "q(y) :- R(y, y_3), R(y_2, y_4), S(y, x_4), T(x_4, x)"
 
 
 def test_unfold_carries_builtins():
@@ -112,6 +117,7 @@ def test_minicon_is_deterministic():
     defs = views("v1(x, y) :- A(x, y)", "v2(y) :- B(y)", "u1(x, y) :- A(x, y)")
     q = parse_query("q(x) :- A(x, y), B(y)")
     assert minicon(q, defs, "Pi") == minicon(q, defs, "Pi")
+    assert str(minicon(q, defs, "Pi").query) == "q(x) :- u1(x, y), v2(y)"
 
 
 def test_minicon_agrees_with_brute_force_search():
@@ -136,6 +142,33 @@ def test_minicon_agrees_with_brute_force_search():
             assert equivalent(unfold(mine, peer.views), q)
             assert equivalent(unfold(ref, peer.views), q)
     assert found > 0 and none > 0
+
+
+def chain(m):
+    body = ", ".join(f"R{k % 2}(x{k}, x{k + 1})" for k in range(m))
+    return parse_query(f"q(x0, x{m}) :- {body}")
+
+
+def test_minicon_agrees_with_reference():
+    rng = random.Random(5150)
+    found = none = 0
+    for _ in range(100):
+        net = rand_network(rng, 2, 3)
+        peer = rng.choice(net.peers)
+        q, _ = split_builtins(rand_peer_query(rng, net, peer.id, builtin_prob=0.0))
+        mine = minicon(q, peer.views, peer.id)
+        assert mine == reference_minicon(q, peer.views, peer.id), f"{q} over {peer.id}"
+        if mine is None:
+            none += 1
+        else:
+            found += 1
+    assert found > 0 and none > 0
+    defs = views("r0(x, y) :- R0(x, y)", "r1(x, y) :- R1(x, y)", "j(x, z) :- R0(x, y), R1(y, z)")
+    for m in range(2, 9):
+        q = chain(m)
+        mine = minicon(q, defs, "P0")
+        assert mine is not None
+        assert mine == reference_minicon(q, defs, "P0"), f"chain({m})"
 
 
 def test_subst_translates_each_view():
