@@ -73,27 +73,66 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
     view folded into q, so mapping each instance's variables as its fold
     did maps unfold(psi) into q: unfold(psi) always contains q.  psi is
     equivalent to q iff q also contains unfold(psi).
+
+    Combinations are pruned by subgoal coverage first.  Each candidate
+    carries the set of q's body atoms that the images of its folds
+    cover; a combination's cover m is the union of its candidates'.  A
+    combination is skipped unless m is all of q's body or q maps into
+    its own sub-body q[m] (one test per distinct m).  This loses no
+    answer: if psi is equivalent to q, a homomorphism g from q into
+    unfold(psi), followed by the map f from unfold(psi) into q that
+    sends each instance where its fold sent it, is an endomorphism of q
+    fixing the head whose image lies in q[m].  So the first hit is the
+    same as without pruning.
     """
     if q.builtins:
         raise QueryError(f"minicon expects a constraint-free query, got {q.name!r}")
 
-    candidates = sorted(
-        {
-            Atom(view.name, tuple(theta[v] for v in view.definition.head_vars))
-            for view in views
-            for theta in match_atoms(view.definition.body, q.body, {})
-        },
-        key=atom_key,
-    )
-
-    head_set = set(q.head_vars)
+    bits: dict[tuple, int] = {}  # (predicate, args) of each distinct atom of q's body -> its bit
+    for a in q.body:
+        bits.setdefault((a.predicate, a.args), 1 << len(bits))
+    covers: dict[tuple, int] = {}  # (view name, args) of a candidate -> bits its folds' images cover
     views = tuple(views)
+    for view in views:
+        defn = view.definition
+        for theta in match_atoms(defn.body, q.body, {}):
+            m = 0
+            for b in defn.body:
+                m |= bits[b.predicate, tuple(theta[t] if isinstance(t, Var) else t for t in b.args)]
+            key = (view.name, tuple(theta[v] for v in defn.head_vars))
+            covers[key] = covers.get(key, 0) | m
+    candidates = sorted((Atom(name, args) for name, args in covers), key=atom_key)
+
+    head_bit = {v: 1 << k for k, v in enumerate(q.head_vars)}
+    all_heads = (1 << len(q.head_vars)) - 1
+    heads = []
+    cover = []
+    for c in candidates:
+        h = 0
+        for t in c.args:
+            h |= head_bit.get(t, 0)
+        heads.append(h)
+        cover.append(covers[c.predicate, c.args])
+    full = (1 << len(bits)) - 1
+    folds_into = {full: True}  # cover m -> does q map into q[m]
     for size in range(1, min(len(q.body), len(candidates)) + 1):
-        for combo in itertools.combinations(candidates, size):
-            covered = {t for a in combo for t in a.variables()}
-            if not head_set <= covered:
+        for combo in itertools.combinations(range(len(candidates)), size):
+            h = m = 0
+            for i in combo:
+                h |= heads[i]
+                m |= cover[i]
+            if h != all_heads:
                 continue
-            psi = ViewExpression(ConjunctiveQuery(q.name, q.head_vars, combo, ()), owner)
+            ok = folds_into.get(m)
+            if ok is None:
+                # q[m] is safe: a view's head variables occur in its body,
+                # so each candidate's args occur in its folds' images
+                sub = tuple(a for a in q.body if bits[a.predicate, a.args] & m)
+                ok = folds_into[m] = contains(q, ConjunctiveQuery(q.name, q.head_vars, sub, ()))
+            if not ok:
+                continue
+            body = tuple(candidates[i] for i in combo)
+            psi = ViewExpression(ConjunctiveQuery(q.name, q.head_vars, body, ()), owner)
             if contains(q, unfold(psi, views)):
                 return psi
     return None

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -154,6 +155,7 @@ def test_oracle_check_agrees(capsys):
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "p2pq.cli", "validate", NET],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
     )

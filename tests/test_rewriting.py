@@ -163,12 +163,30 @@ def test_minicon_agrees_with_reference():
         else:
             found += 1
     assert found > 0 and none > 0
+    # the cover rule: a non-core q answered by a cover short of its body,
+    # a repeated body atom, a view folding twice onto one candidate, and
+    # an EMPTY result decided by the cover test alone
+    fixed = [
+        ("q(x) :- R(x, y), R(x, z)", ("r(x, y) :- R(x, y)",), "q(x) :- r(x, y)"),
+        ("q(x) :- R(x, y), R(x, y), S(y)", ("r(x, y) :- R(x, y)", "s(y) :- S(y)"), "q(x) :- r(x, y), s(y)"),
+        ("q(x) :- R(x, y), R(x, z)", ("v(x) :- R(x, y)",), "q(x) :- v(x)"),
+        ("q(x) :- R(x, y), S(y)", ("r(x, y) :- R(x, y)",), None),
+    ]
+    for text, view_texts, expected in fixed:
+        q, defs = parse_query(text), views(*view_texts)
+        mine = minicon(q, defs, "P")
+        assert (None if mine is None else str(mine.query)) == expected, text
+        assert mine == reference_minicon(q, defs, "P"), text
     defs = views("r0(x, y) :- R0(x, y)", "r1(x, y) :- R1(x, y)", "j(x, z) :- R0(x, y), R1(y, z)")
     for m in range(2, 9):
         q = chain(m)
         mine = minicon(q, defs, "P0")
         assert mine is not None
         assert mine == reference_minicon(q, defs, "P0"), f"chain({m})"
+    # chain(12) is pinned directly: six disjoint j atoms, in atom_key order
+    assert str(minicon(chain(12), defs, "P0").query) == (
+        "q(x0, x12) :- j(x0, x2), j(x10, x12), j(x2, x4), j(x4, x6), j(x6, x8), j(x8, x10)"
+    )
 
 
 def test_subst_translates_each_view():
