@@ -90,6 +90,8 @@ class Peer:
     schema: tuple[RelationSignature, ...] = ()
     views: tuple[ViewDefinition, ...] = ()
     facts: frozenset[Atom] = frozenset()
+    # (name, arity) -> LEVEL_BASE or LEVEL_VIEW, for query_level
+    _levels: dict[tuple[str, int], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
@@ -102,6 +104,10 @@ class Peer:
             if sig.name in relations:
                 raise ValidationError(f"peer {self.id!r}: duplicate relation {sig.name!r}")
             relations[sig.name] = sig.arity
+        view_arities = {v.name: v.arity for v in self.views}
+        levels = {key: LEVEL_VIEW for key in view_arities.items()}
+        levels.update((key, LEVEL_BASE) for key in relations.items())
+        object.__setattr__(self, "_levels", levels)
         names = set()
         for view in self.views:
             if view.name in names:
@@ -136,19 +142,15 @@ class Peer:
         """Classify a query as base-level (schema relations only) or
         view-level (this peer's view names only); anything mixed or
         unknown raises "query/schema mismatch"."""
-        relations = self.relations()
-        view_arities = {v.name: v.arity for v in self.views}
         levels = set()
         for a in q.body:
-            if relations.get(a.predicate) == len(a.args):
-                levels.add(LEVEL_BASE)
-            elif view_arities.get(a.predicate) == len(a.args):
-                levels.add(LEVEL_VIEW)
-            else:
+            level = self._levels.get((a.predicate, len(a.args)))
+            if level is None:
                 raise QueryError(
                     f"query/schema mismatch: {a.predicate}/{len(a.args)} "
                     f"is neither a relation nor a view of peer {self.id!r}"
                 )
+            levels.add(level)
         if len(levels) != 1:
             raise QueryError(
                 f"query/schema mismatch: query {q.name!r} mixes base relations "

@@ -3,32 +3,37 @@
     name(v1, ..., vk) :- atom1, ..., atomm [, builtin1, ...]
 
 Atoms are ``pred(t1, ..., tn)``; builtins are ``t1 OP t2`` with OP one
-of ``=  !=  <  <=  >  >=``.  Variables are lowercase identifiers,
-string constants are double-quoted, integers are bare; whitespace is
-insignificant.  Head positions must be variables.
+of ``=  !=  <  <=  >  >=``.  Variables are identifiers that start
+lowercase or with ``_``, string constants are double-quoted, integers
+are ASCII digits with an optional ``-``; whitespace is insignificant.
+Head positions must be variables.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NoReturn, Optional
 
 from .errors import ParseError
 from .queries import Atom, BuiltinAtom, ConjunctiveQuery, Const, Term, Var
 
-__all__ = ["parse_query", "parse_atom", "tokenize"]
+__all__ = ["parse_query", "parse_atom"]
 
+# Each match absorbs the whitespace before its token; BAD catches any
+# other character, so matches are contiguous up to trailing whitespace.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>\s+)
-    | (?P<ARROW>:-)
+    \s*(?:
+      (?P<ARROW>:-)
     | (?P<OP><=|>=|!=|=|<|>)
     | (?P<LPAR>\()
     | (?P<RPAR>\))
     | (?P<COMMA>,)
-    | (?P<INT>-?\d+)
+    | (?P<INT>-?[0-9]+)
     | (?P<STRING>"(?:[^"\\]|\\.)*")
     | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<BAD>\S)
+    )
     """,
     re.VERBOSE,
 )
@@ -36,133 +41,113 @@ _TOKEN_RE = re.compile(
 _UNTERMINATED_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*$')
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _position(text: str, offset: int) -> tuple[int, int]:
+def _error(text: str, offset: int, message: str) -> ParseError:
     line = text.count("\n", 0, offset) + 1
-    last_nl = text.rfind("\n", 0, offset)
-    return line, offset - last_nl
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            line, col = _position(text, pos)
-            if _UNTERMINATED_STRING_RE.match(text, pos):
-                raise ParseError("unterminated string constant", line, col)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Scan text into parallel lists of token kind, token text and start
+    offset, ending with an EOF token at len(text)."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
         kind = m.lastgroup
-        if kind != "WS":
-            line, col = _position(text, pos)
-            tokens.append(_Token(kind, m.group(), line, col))
-        pos = m.end()
-    line, col = _position(text, len(text))
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+        start = m.start(kind)
+        if kind == "BAD":
+            if _UNTERMINATED_STRING_RE.match(text, start):
+                raise _error(text, start, "unterminated string constant")
+            raise _error(text, start, f"unexpected character {text[start]!r}")
+        kinds.append(kind)
+        texts.append(m.group(kind))
+        starts.append(start)
+    kinds.append("EOF")
+    texts.append("")
+    starts.append(len(text))
+    return kinds, texts, starts
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.kinds, self.texts, self.starts = tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def fail(self, message: str, pos: Optional[int] = None) -> NoReturn:
+        offset = self.starts[self.pos if pos is None else pos]
+        raise _error(self.text, offset, message)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {what}, got {got!r}", tok.line, tok.column)
-        return self.advance()
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+    def expect(self, kind: str, what: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            got = self.texts[pos] or "end of input"
+            self.fail(f"expected {what}, got {got!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
     # -- grammar ------------------------------------------------------
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return Const(int(tok.text))
-        if tok.kind == "STRING":
-            self.advance()
-            raw = tok.text[1:-1]
-            return Const(raw.replace('\\"', '"').replace("\\\\", "\\"))
-        if tok.kind == "IDENT":
-            if not (tok.text[0].islower() or tok.text[0] == "_"):
-                self.fail(
-                    f"{tok.text!r} is not a term: variables are lowercase, "
-                    "string constants are double-quoted"
-                )
-            self.advance()
-            return Var(tok.text)
-        self.fail("expected a term (variable, integer, or string)")
+        pos = self.pos
+        kind, text = self.kinds[pos], self.texts[pos]
+        if kind == "INT":
+            term = Const(int(text))
+        elif kind == "STRING":
+            term = Const(text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
+        elif kind != "IDENT":
+            self.fail("expected a term (variable, integer, or string)")
+        elif text[0].islower() or text[0] == "_":
+            term = Var(text)
+        else:
+            self.fail(
+                f"{text!r} is not a term: variables are lowercase, "
+                "string constants are double-quoted"
+            )
+        self.pos = pos + 1
+        return term
+
+    def terms(self, item) -> list:
+        """Parse ``'(' [item (',' item)*] ')'``."""
+        self.expect("LPAR", "'('")
+        items = []
+        if self.kinds[self.pos] != "RPAR":
+            items.append(item())
+            while self.kinds[self.pos] == "COMMA":
+                self.pos += 1
+                items.append(item())
+        self.expect("RPAR", "')'")
+        return items
 
     def atom(self) -> Atom:
         name = self.expect("IDENT", "a predicate name")
-        self.expect("LPAR", "'('")
-        args: list[Term] = []
-        if self.peek().kind != "RPAR":
-            args.append(self.term())
-            while self.peek().kind == "COMMA":
-                self.advance()
-                args.append(self.term())
-        self.expect("RPAR", "')'")
-        return Atom(name.text, tuple(args))
-
-    def body_item(self):
-        if self.peek().kind == "IDENT" and self.peek(1).kind == "LPAR":
-            return self.atom()
-        lhs = self.term()
-        op = self.expect("OP", "a comparison operator")
-        rhs = self.term()
-        return BuiltinAtom(op.text, lhs, rhs)
+        return Atom(name, tuple(self.terms(self.term)))
 
     def query(self) -> ConjunctiveQuery:
         name = self.expect("IDENT", "a query name")
-        self.expect("LPAR", "'('")
-        head: list[Var] = []
-        if self.peek().kind != "RPAR":
-            head.append(self.head_var())
-            while self.peek().kind == "COMMA":
-                self.advance()
-                head.append(self.head_var())
-        self.expect("RPAR", "')'")
+        head = tuple(self.terms(self.head_var))
         self.expect("ARROW", "':-'")
         atoms: list[Atom] = []
         builtins: list[BuiltinAtom] = []
-        item = self.body_item()
-        (atoms if isinstance(item, Atom) else builtins).append(item)
-        while self.peek().kind == "COMMA":
-            self.advance()
-            item = self.body_item()
-            (atoms if isinstance(item, Atom) else builtins).append(item)
+        while True:
+            pos = self.pos
+            if self.kinds[pos] == "IDENT" and self.kinds[pos + 1] == "LPAR":
+                atoms.append(self.atom())
+            else:
+                lhs = self.term()
+                op = self.expect("OP", "a comparison operator")
+                builtins.append(BuiltinAtom(op, lhs, self.term()))
+            if self.kinds[self.pos] != "COMMA":
+                break
+            self.pos += 1
         self.expect("EOF", "end of query")
-        return ConjunctiveQuery(name.text, tuple(head), tuple(atoms), tuple(builtins))
+        return ConjunctiveQuery(name, head, tuple(atoms), tuple(builtins))
 
     def head_var(self) -> Var:
-        tok = self.peek()
+        pos = self.pos
         t = self.term()
         if not isinstance(t, Var):
-            raise ParseError("head positions must be variables", tok.line, tok.column)
+            self.fail("head positions must be variables", pos)
         return t
 
 

@@ -93,6 +93,26 @@ def test_load_rejects_fact_schema_mismatch():
         load_network(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "facts, vdef, message",
+    [
+        (["R(1, 2)", "R(1,\n 2 3)"], "v(x) :- R(x, y)",
+         "peer 'P1', facts[1]: line 2, column 4: expected ')', got '3'"),
+        (["R(1, 2)"], "v(x) :- R(x, %)",
+         "peer 'P1', view 'v': line 1, column 14: unexpected character '%'"),
+        (["R(1, 2)"], "v(x) :-\n R(x, y",
+         "peer 'P1', view 'v': line 2, column 8: expected ')', got 'end of input'"),
+    ],
+)
+def test_load_reports_parse_errors_with_position(facts, vdef, message):
+    doc = minimal_doc()
+    doc["peers"][0]["facts"] = facts
+    doc["peers"][0]["views"][0]["def"] = vdef
+    with pytest.raises(ValidationError) as err:
+        load_network(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_load_rejects_unknown_mapping_view():
     doc = minimal_doc()
     doc["mappings"][0]["from_view"] = "nope"
@@ -158,6 +178,44 @@ def test_query_level_classification():
         pi.query_level(parse_query("q(x) :- Zz(x)"))
     with pytest.raises(QueryError):
         pi.query_level(parse_query("q(x) :- A(x)"))  # wrong arity
+
+
+def test_query_level_on_directly_built_peer():
+    peer = Peer(
+        "P",
+        (RelationSignature("A", 2), RelationSignature("B", 1)),
+        (ViewDefinition("v", parse_query("v(x) :- A(x, y), B(y)")),),
+    )
+    before = repr(peer)
+    assert peer.query_level(parse_query("q(x) :- A(x, y), B(y)")) == "base"
+    assert peer.query_level(parse_query("q(x) :- v(x), v(y)")) == "view"
+    with pytest.raises(QueryError) as err:
+        peer.query_level(parse_query("q(x) :- A(x, y), v(y)"))
+    assert str(err.value) == (
+        "query/schema mismatch: query 'q' mixes base relations and views of peer 'P'"
+    )
+    for text, culprit in [("q(x) :- A(x)", "A/1"), ("q(x) :- v(x, y)", "v/2"), ("q(x) :- C(x)", "C/1")]:
+        with pytest.raises(QueryError) as err:
+            peer.query_level(parse_query(text))
+        assert str(err.value) == (
+            f"query/schema mismatch: {culprit} is neither a relation nor a view of peer 'P'"
+        )
+    # the level lookup takes no part in repr, equality or hashing
+    assert repr(peer) == before
+    assert "'base'" not in before and "'view'" not in before
+    twin = Peer("P", peer.schema, peer.views)
+    assert twin == peer and hash(twin) == hash(peer)
+
+
+def test_query_level_leaves_network_round_trip_intact():
+    net = load_network(TWO_PEER.read_text())
+    reprs = [repr(p) for p in net.peers]
+    for p in net.peers:
+        for v in p.views:
+            assert p.query_level(v.definition) == "base"
+    assert [repr(p) for p in net.peers] == reprs
+    assert load_network(render_network(net)) == net
+    assert hash(load_network(render_network(net)).peer("Pi")) == hash(net.peer("Pi"))
 
 
 def test_neighbors_follow_declaration_order():

@@ -1,11 +1,16 @@
 import re
+import string
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2pq import (
     Atom,
     BuiltinAtom,
+    ConjunctiveQuery,
     Const,
     ParseError,
     Var,
@@ -58,6 +63,57 @@ def test_parse_error_reports_position():
     assert "column" in str(err.value)
 
 
+# The full error contract: message, line and column of every ParseError.
+# Columns are 1-based; at end of input the column is len(last line) + 1.
+PARSE_ERRORS = [
+    (parse_query, "q(x) :- R(x,, y)", 1, 13, "expected a term (variable, integer, or string)"),
+    (parse_query, "q(x) :- R(x) # c", 1, 14, "unexpected character '#'"),
+    (parse_query, "q(x) :-\n  R(x, %)", 2, 8, "unexpected character '%'"),
+    (parse_query, "q(x) :- R(x), x ~ 3", 1, 17, "unexpected character '~'"),
+    (parse_query, 'q(x) :- R(x),\n  S("ab', 2, 5, "unterminated string constant"),
+    (parse_query, 'q(x) :- R(x), "a\\"', 1, 15, "unterminated string constant"),
+    (parse_query, "q(x) R(x)", 1, 6, "expected ':-', got 'R'"),
+    (parse_query, "Q(x) :- R(x), 3", 1, 16, "expected a comparison operator, got 'end of input'"),
+    (parse_query, "q(x) :-\n  R(x,\n  ", 3, 3, "expected a term (variable, integer, or string)"),
+    (parse_query, "", 1, 1, "expected a query name, got 'end of input'"),
+    (parse_query, "q(x) :- R(X)", 1, 11,
+     "'X' is not a term: variables are lowercase, string constants are double-quoted"),
+    (parse_query, "q(x, 1) :- R(x)", 1, 6, "head positions must be variables"),
+    (parse_query, "q(x) :- R(x) extra", 1, 14, "expected end of query, got 'extra'"),
+    (parse_query, "q(x) :- ", 1, 9, "expected a term (variable, integer, or string)"),
+    (parse_query, "q(x) :- R(x), x 3", 1, 17, "expected a comparison operator, got '3'"),
+    (parse_atom, "R(1, 2) S", 1, 9, "expected end of atom, got 'S'"),
+    (parse_atom, "R(1,\n 2", 2, 3, "expected ')', got 'end of input'"),
+    (parse_atom, "R(1,\n 2  \n ", 3, 2, "expected ')', got 'end of input'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, line, column, message", PARSE_ERRORS)
+def test_parse_error_contract(parse, text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_trailing_whitespace_scans_in_linear_time():
+    # a scanner that retries the token pattern at every trailing blank
+    # takes seconds here
+    start = time.perf_counter()
+    assert parse_atom("R(1)" + " " * 5000) == Atom("R", (Const(1),))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_non_ascii_digits_are_not_integers():
+    # str patterns match any Unicode digit with \d; integers are ASCII only
+    with pytest.raises(ParseError) as err:
+        parse_atom("R(\u0661\u0662)")
+    assert str(err.value) == "line 1, column 3: unexpected character '\u0661'"
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_query("q(x) :- R(x, \u0663)")
+    assert parse_atom("R(-12)") == Atom("R", (Const(-12),))
+
+
 def test_parse_error_on_missing_arrow():
     with pytest.raises(ParseError):
         parse_query("q(x) R(x)")
@@ -107,6 +163,48 @@ def test_query_text_round_trip():
     for text in texts:
         q = parse_query(text)
         assert parse_query(str(q)) == q
+
+
+def _names(first):
+    rest = st.text(string.ascii_letters + string.digits + "_", max_size=5)
+    return st.builds(str.__add__, st.sampled_from(first), rest)
+
+
+NAMES = _names(string.ascii_letters + "_")
+VARS = st.builds(Var, _names(string.ascii_lowercase + "_"))
+CONSTS = st.builds(
+    Const,
+    st.integers(-10**6, 10**6)
+    | st.text(st.sampled_from('ab "\\\n,()'), max_size=6)
+    | st.text(max_size=4),
+)
+ATOMS = st.builds(Atom, NAMES, st.lists(VARS | CONSTS, max_size=4).map(tuple))
+GROUND_ATOMS = st.builds(Atom, NAMES, st.lists(CONSTS, max_size=4).map(tuple))
+
+
+@st.composite
+def queries(draw):
+    body = draw(st.lists(ATOMS, min_size=1, max_size=4))
+    bound = sorted({v for a in body for v in a.variables()}, key=lambda v: v.name)
+    head = draw(st.lists(st.sampled_from(bound), unique=True) if bound else st.just([]))
+    operand = (st.sampled_from(bound) | CONSTS) if bound else CONSTS
+    builtins = draw(st.lists(
+        st.builds(BuiltinAtom, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), operand, operand),
+        max_size=3,
+    ))
+    return ConjunctiveQuery(draw(NAMES), tuple(head), tuple(body), tuple(builtins))
+
+
+@given(queries())
+@settings(max_examples=200, deadline=None)
+def test_query_text_round_trip_property(q):
+    assert parse_query(str(q)) == q
+
+
+@given(GROUND_ATOMS)
+@settings(max_examples=200, deadline=None)
+def test_ground_atom_text_round_trip_property(a):
+    assert parse_atom(str(a)) == a
 
 
 def test_readme_query_syntax_parses():
