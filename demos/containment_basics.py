@@ -21,7 +21,7 @@ def main():
     loops = parse_query("q(x) :- R(x, x)")
     show(f"{general}  vs  {loops}", contains(general, loops))
     for h in homomorphisms(general, loops):
-        show("  witness", h)
+        show("  witness", ", ".join(f"{v} -> {t}" for v, t in sorted(h.items(), key=lambda vt: vt[0].name)))
 
     print("\nequivalence ignores names, variable labels, and redundancy:")
     a = parse_query("q(x) :- R(x, y), R(x, w)")

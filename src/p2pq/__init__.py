@@ -31,13 +31,11 @@ from .errors import (
     ValidationError,
 )
 from .network import (
-    Accessibility,
     MappingPair,
     Network,
     Peer,
     RelationSignature,
     ViewDefinition,
-    accessibility,
     load_network,
     neighbors,
     render_network,
@@ -57,10 +55,8 @@ from .queries import (
     BuiltinAtom,
     ConjunctiveQuery,
     Const,
-    Substitution,
     Term,
     Var,
-    apply,
     canonicalize,
     contains,
     equivalent,
@@ -74,7 +70,6 @@ __all__ = [
     "AgentResult",
     "AgentState",
     "AnswerReport",
-    "Accessibility",
     "Atom",
     "BuiltinAtom",
     "CeilingError",
@@ -92,7 +87,6 @@ __all__ = [
     "PeerQueue",
     "QueryError",
     "RelationSignature",
-    "Substitution",
     "Term",
     "TheoremReport",
     "TraceStep",
@@ -102,9 +96,7 @@ __all__ = [
     "Var",
     "ViewDefinition",
     "ViewExpression",
-    "accessibility",
     "answer",
-    "apply",
     "assemble_report",
     "canonicalize",
     "check_theorem",

@@ -31,11 +31,9 @@ __all__ = [
     "Peer",
     "MappingPair",
     "Network",
-    "Accessibility",
     "load_network",
     "render_network",
     "neighbors",
-    "accessibility",
 ]
 
 LEVEL_BASE = "base"
@@ -221,36 +219,11 @@ class Network:
         return tuple(p.id for p in self.peers)
 
 
-@dataclass(frozen=True, slots=True)
-class Accessibility:
-    """Reflexive-transitive closure of the one-step interface relation."""
-
-    edges: frozenset[tuple[str, str]]
-
-    def reaches(self, i: str, j: str) -> bool:
-        return (i, j) in self.edges
-
-
 def neighbors(net: Network, pid: str) -> tuple[str, ...]:
     """Peers that `pid` has a declared interface toward, in declaration
     order."""
     net.peer(pid)
     return tuple(j for (i, j) in net.interfaces if i == pid)
-
-
-def accessibility(net: Network) -> Accessibility:
-    ids = net.peer_ids()
-    edges = {(p, p) for p in ids}
-    edges.update(net.interfaces.keys())
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(edges):
-            for c, d in list(edges):
-                if b == c and (a, d) not in edges:
-                    edges.add((a, d))
-                    changed = True
-    return Accessibility(frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +307,8 @@ def load_network(text: str) -> Network:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, a number past the integer digit limit, or nesting too deep
         raise NetworkSyntaxError(f"malformed JSON: {e}") from e
 
     d = _require_dict(doc, "document")

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from .agent import DEFAULT_STEP_CEILING, run
 from .errors import CeilingError, QueryError
-from .network import Network, neighbors
+from .network import LEVEL_BASE, Network, neighbors
 from .queries import ConjunctiveQuery, canonicalize, equivalent
 from .rewriting import rew
 
@@ -101,9 +101,9 @@ def weak_closure(
     """Everything derivable from q at the origin peer: breadth-first
     expansion over rewritings, memoized on (peer, canonical query).  The
     result maps every peer to its derived set (possibly empty)."""
-    peer = net.peer(origin)
+    if net.peer(origin).query_level(q) != LEVEL_BASE:
+        raise QueryError(f"query/schema mismatch: {q.name!r} is not base-level on {origin!r}")
     root = DeductionNode(origin, canonicalize(q))
-    peer.query_level(root.query)  # raises on schema mismatch
     visited: list[DeductionNode] = []
     seen = {(root.peer, root.query)}
     frontier = deque([root])

@@ -92,7 +92,10 @@ class _Parser:
         pos = self.pos
         kind, text = self.kinds[pos], self.texts[pos]
         if kind == "INT":
-            term = Const(int(text))
+            try:
+                term = Const(int(text))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                self.fail(f"integer constant too long ({len(text.lstrip('-'))} digits)")
         elif kind == "STRING":
             term = Const(text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
         elif kind != "IDENT":

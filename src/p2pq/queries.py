@@ -1,8 +1,8 @@
 """Conjunctive-query kernel.
 
-Terms, atoms, comparison constraints, queries, substitutions, and the
-operations the rest of the package is built on: homomorphism search,
-containment, equivalence, and canonical forms.
+Terms, atoms, comparison constraints, queries, and the operations the
+rest of the package is built on: homomorphism search, containment,
+equivalence, and canonical forms.
 
 One indexed, iterative atom matcher, `match_atoms`, serves evaluation
 over facts, view folding, containment and core retraction.
@@ -34,8 +34,6 @@ __all__ = [
     "Atom",
     "BuiltinAtom",
     "ConjunctiveQuery",
-    "Substitution",
-    "apply",
     "homomorphisms",
     "match_atoms",
     "contains",
@@ -287,80 +285,6 @@ class ConjunctiveQuery:
 
 
 # ---------------------------------------------------------------------------
-# substitutions
-
-
-class Substitution:
-    """A finite variable-to-term mapping.
-
-    Application is simultaneous, single-pass replacement: every mapped
-    variable is replaced at once, so ``{x -> y, y -> x}`` swaps the two
-    variables.  Such swap maps arise as homomorphisms between queries
-    that happen to share variable names; callers that need a rewriting
-    substitution (apply twice = apply once) must keep domain and range
-    apart.
-    """
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping: Union[Mapping[Var, Term], Iterable[tuple[Var, Term]]] = ()):
-        m = dict(mapping)
-        for v, t in m.items():
-            if not isinstance(v, Var):
-                raise QueryError(f"substitution domain must be variables, got {v!r}")
-            _check_term(t)
-        self.mapping: dict[Var, Term] = m
-
-    def get(self, v: Var) -> Term:
-        return self.mapping.get(v, v)
-
-    def domain(self) -> frozenset[Var]:
-        return frozenset(self.mapping)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Substitution):
-            return NotImplemented
-        return self.mapping == other.mapping
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v} -> {t}" for v, t in sorted(self.mapping.items(), key=lambda kv: kv[0].name))
-        return f"Substitution({{{inner}}})"
-
-
-def apply(sub: Substitution, value):
-    """Apply a substitution to a term, atom, constraint, or query.
-
-    Applying to a query raises "head collapse" when the substituted head
-    is no longer a tuple of distinct variables.
-    """
-    if isinstance(value, Var):
-        return sub.get(value)
-    if isinstance(value, Const):
-        return value
-    if isinstance(value, Atom):
-        return Atom(value.predicate, tuple(apply(sub, a) for a in value.args))
-    if isinstance(value, BuiltinAtom):
-        return BuiltinAtom(value.op, apply(sub, value.lhs), apply(sub, value.rhs))
-    if isinstance(value, ConjunctiveQuery):
-        new_head = []
-        for v in value.head_vars:
-            t = sub.get(v)
-            if not isinstance(t, Var):
-                raise QueryError(f"head collapse: head variable {v} of {value.name!r} replaced by constant {t}")
-            new_head.append(t)
-        return ConjunctiveQuery(
-            value.name,
-            tuple(new_head),
-            tuple(apply(sub, a) for a in value.body),
-            tuple(apply(sub, b) for b in value.builtins),
-        )
-    raise QueryError(f"cannot apply substitution to {value!r}")
-
-
-# ---------------------------------------------------------------------------
 # homomorphisms and containment
 
 
@@ -518,14 +442,14 @@ def _homs(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> Iterator[dict]:
     return (env for env in envs if all(_builtin_image_ok(b, env, target_builtins) for b in frm.builtins))
 
 
-def homomorphisms(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> list[Substitution]:
-    """All substitutions h with h(head of frm) = head of to pointwise and
+def homomorphisms(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> list[dict[Var, Term]]:
+    """All variable maps h with h(head of frm) = head of to pointwise and
     h(a) a body atom of `to` for every body atom a of `frm`, with every
     constraint of `frm` surviving per the conservative rule.
 
     Queries with different head arities are incomparable and raise.
     """
-    return [Substitution(m) for m in _homs(frm, to)]
+    return list(_homs(frm, to))
 
 
 @lru_cache(maxsize=131072)
@@ -651,11 +575,12 @@ def _canonical_labeling(head_vars, body, builtins):
 
     rec(list(body), base_env, len(head_vars), ())
     _, _, env = best[0]
-    rename = Substitution({v: Var(f"v{i}") for v, i in env.items()})
+    rename = {v: Var(f"v{i}") for v, i in env.items()}
     new_head = tuple(Var(f"v{i}") for i in range(len(head_vars)))
-    new_body = tuple(sorted((apply(rename, a) for a in body), key=atom_key))
-    new_builtins = tuple(sorted((apply(rename, b) for b in builtins), key=_builtin_key))
-    return new_head, new_body, new_builtins
+    new_body = [Atom(a.predicate, tuple(rename.get(t, t) for t in a.args)) for a in body]
+    # BuiltinAtom puts the renamed operands back in normal orientation
+    new_builtins = [BuiltinAtom(b.op, rename.get(b.lhs, b.lhs), rename.get(b.rhs, b.rhs)) for b in builtins]
+    return new_head, tuple(sorted(new_body, key=atom_key)), tuple(sorted(new_builtins, key=_builtin_key))
 
 
 @lru_cache(maxsize=65536)

@@ -14,6 +14,11 @@ ROOT = Path(__file__).resolve().parent.parent
 TWO_PEER = ROOT / "demos" / "networks" / "two_peer.json"
 NET = str(TWO_PEER)
 
+# Python 3.11 refuses to convert integer strings past a digit limit
+NEEDS_INT_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+)
+
 
 def test_validate_ok(capsys):
     assert main(["validate", NET]) == 0
@@ -26,6 +31,21 @@ def test_validate_malformed_json_is_usage_error(tmp_path, capsys):
     bad.write_text("{oops")
     assert main(["validate", str(bad)]) == 2
     assert "malformed JSON" in capsys.readouterr().err
+
+
+@NEEDS_INT_DIGIT_LIMIT
+def test_validate_number_past_the_digit_limit_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"peers": [{"id": "P", "schema": [{"name": "A", "arity": ' + "1" * 5000 + "}]}]}")
+    assert main(["validate", str(bad)]) == 2
+    assert "malformed JSON: Exceeds the limit" in capsys.readouterr().err
+
+
+def test_validate_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 100_000)
+    assert main(["validate", str(bad)]) == 2
+    assert "malformed JSON: maximum recursion depth exceeded" in capsys.readouterr().err
 
 
 def test_validate_invalid_content_is_domain_error(tmp_path, capsys):
@@ -92,6 +112,13 @@ def test_answer_trace_flag(capsys):
 def test_answer_bad_query_is_usage_error(capsys):
     assert main(["answer", NET, "--peer", "Pi", "--query", "q(x :- A(x)"]) == 2
     assert "bad query" in capsys.readouterr().err
+
+
+@NEEDS_INT_DIGIT_LIMIT
+def test_rewrite_integer_past_the_digit_limit_is_usage_error(capsys):
+    query = "q(x) :- A(x, " + "1" * 5000 + ")"
+    assert main(["rewrite", NET, "--peer", "Pi", "--target", "Pj", "--query", query]) == 2
+    assert "line 1, column 14: integer constant too long (5000 digits)" in capsys.readouterr().err
 
 
 def test_answer_unknown_peer_is_domain_error(capsys):

@@ -110,6 +110,30 @@ def test_weak_closure_single_peer():
     assert weak_closure(net, "P1", q) == {"P1": frozenset({canonicalize(q)})}
 
 
+def test_weak_closure_rejects_view_level_query():
+    # no interface leaves P1, so only the level check can reject the query
+    doc = {
+        "peers": [
+            {
+                "id": "P1",
+                "schema": [{"name": "R", "arity": 1}],
+                "views": [{"name": "v", "def": "v(x) :- R(x)"}],
+                "facts": [],
+            }
+        ],
+        "mappings": [],
+    }
+    net = load_network(json.dumps(doc))
+    q = parse_query("q(x) :- v(x)")
+    message = "query/schema mismatch: 'q' is not base-level on 'P1'"
+    with pytest.raises(QueryError) as err:
+        weak_closure(net, "P1", q)
+    assert str(err.value) == message
+    with pytest.raises(QueryError) as err:
+        run(net, "P1", q)
+    assert str(err.value) == message
+
+
 def test_weak_closure_fills_unreachable_peers():
     doc = {
         "peers": [
