@@ -8,24 +8,16 @@ every neighbor, appending it there unless an equivalent query is
 already listed.  Lists only ever grow, so the run is monotone; when
 every pointer has caught up with its list the state is final and
 collapses to one query set per peer.
-
-With `prune_subsumed` (off by default) an incoming query is also
-discarded when it is contained in a query the target peer already has.
-Discarding is safe for the rows reported at that peer (the subsumed
-query's rows are already covered) but it also stops the query's onward
-propagation, and a narrowed query can be rewritable toward a neighbor
-where the wider one is not.  Pruned runs therefore report a subset of
-the aggregated answer, not always the same set.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import CeilingError, QueryError, ValidationError
-from .network import LEVEL_BASE, Network, neighbors
+from .network import Network, neighbors
+# contains is unused here; perfbench's tracer wraps agent.contains
 from .queries import ConjunctiveQuery, canonicalize, contains, equivalent
 from .rewriting import rew
 
@@ -105,24 +97,14 @@ class TraceStep:
 def new_agent(net: Network, origin: str, q: ConjunctiveQuery) -> AgentState:
     """Initial state: the canonicalized query pending at the origin peer,
     every other queue empty."""
-    peer = net.peer(origin)
-    if peer.query_level(q) != LEVEL_BASE:
-        raise QueryError(f"query/schema mismatch: {q.name!r} is not base-level on {origin!r}")
+    net.peer(origin).require_base(q)
     seed = canonicalize(q)
     return AgentState(
         {p.id: PeerQueue((seed,), 0) if p.id == origin else PeerQueue() for p in net.peers}
     )
 
 
-def _accepts(existing: tuple[ConjunctiveQuery, ...], q: ConjunctiveQuery, prune_subsumed: bool) -> bool:
-    if prune_subsumed:
-        return not any(contains(old, q) for old in existing)
-    return not any(equivalent(old, q) for old in existing)
-
-
-def _elaborate(
-    net: Network, state: AgentState, prune_subsumed: bool, index: int
-) -> tuple[AgentState, TraceStep]:
+def _elaborate(net: Network, state: AgentState, index: int) -> tuple[AgentState, TraceStep]:
     for pid, queue in state.per_peer.items():
         if queue.exhausted:
             continue
@@ -135,7 +117,7 @@ def _elaborate(
             if out is None:
                 continue
             target = queues[j]
-            if _accepts(target.queries, out, prune_subsumed):
+            if not any(equivalent(old, out) for old in target.queries):
                 queues[j] = PeerQueue(target.queries + (out,), target.pointer)
                 appended.append((j, out))
         return AgentState(queues), TraceStep(index, pid, q, tuple(appended))
@@ -146,50 +128,38 @@ def _result(state: AgentState) -> AgentResult:
     return AgentResult({pid: frozenset(q.queries) for pid, q in state.per_peer.items()})
 
 
-def step(
-    net: Network, state: AgentState, prune_subsumed: bool = False
-) -> Union[AgentState, AgentResult]:
+def step(net: Network, state: AgentState) -> Union[AgentState, AgentResult]:
     """One deterministic move: the final result if every queue is
     exhausted, otherwise the successor state."""
     if state.finished:
         return _result(state)
-    successor, _ = _elaborate(net, state, prune_subsumed, 0)
-    return successor
+    return _elaborate(net, state, 0)[0]
 
 
 def run(
     net: Network,
     origin: str,
     q: ConjunctiveQuery,
-    prune_subsumed: bool = False,
     step_ceiling: int = DEFAULT_STEP_CEILING,
 ) -> AgentResult:
     """Iterate from the initial state to the fixpoint."""
-    result, _ = _drive(net, origin, q, prune_subsumed, step_ceiling, want_trace=False)
-    return result
+    return trace(net, origin, q, step_ceiling)[0]
 
 
 def trace(
     net: Network,
     origin: str,
     q: ConjunctiveQuery,
-    prune_subsumed: bool = False,
     step_ceiling: int = DEFAULT_STEP_CEILING,
 ) -> tuple[AgentResult, tuple[TraceStep, ...]]:
     """Same computation as run, returning the elaboration log as well.
     The log has one record per elaboration (pointer move); replaying its
     appends over the initial state reconstructs the result."""
-    return _drive(net, origin, q, prune_subsumed, step_ceiling, want_trace=True)
-
-
-def _drive(net, origin, q, prune_subsumed, step_ceiling, want_trace):
     state = new_agent(net, origin, q)
     log: list[TraceStep] = []
-    for index in itertools.count():
-        if state.finished:
-            return _result(state), tuple(log)
-        if index >= step_ceiling:
+    while not state.finished:
+        if len(log) >= step_ceiling:
             raise CeilingError(f"fixpoint ceiling exceeded ({step_ceiling} steps)")
-        state, record = _elaborate(net, state, prune_subsumed, index)
-        if want_trace:
-            log.append(record)
+        state, record = _elaborate(net, state, len(log))
+        log.append(record)
+    return _result(state), tuple(log)

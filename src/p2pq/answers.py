@@ -24,7 +24,7 @@ from typing import Union
 
 from .agent import DEFAULT_STEP_CEILING, run
 from .errors import QueryError
-from .network import LEVEL_BASE, Network, Peer
+from .network import Network, Peer
 from .queries import BuiltinAtom, ConjunctiveQuery, Var, compare_constants, match_atoms
 
 __all__ = ["TupleSet", "AnswerReport", "join", "evaluate", "answer", "assemble_report", "row_key"]
@@ -92,8 +92,7 @@ def _constraint_holds(b: BuiltinAtom, env: dict) -> bool:
 def evaluate(q: ConjunctiveQuery, peer: Peer) -> TupleSet:
     """All head tuples of q over the peer's facts.  q must be base-level
     on the peer's schema."""
-    if peer.query_level(q) != LEVEL_BASE:
-        raise QueryError(f"query/schema mismatch: {q.name!r} is not base-level on {peer.id!r}")
+    peer.require_base(q)
     rows = set()
     for env in match_atoms(q.body, peer.facts, {}):
         if all(_constraint_holds(b, env) for b in q.builtins):
@@ -134,10 +133,9 @@ def answer(
     net: Network,
     origin: str,
     q: ConjunctiveQuery,
-    prune_subsumed: bool = False,
     step_ceiling: int = DEFAULT_STEP_CEILING,
 ) -> AnswerReport:
     """Run the agent from the origin, evaluate every derived query on
     its own peer, and aggregate per peer and globally."""
-    result = run(net, origin, q, prune_subsumed=prune_subsumed, step_ceiling=step_ceiling)
+    result = run(net, origin, q, step_ceiling=step_ceiling)
     return assemble_report(net, origin, q, result)

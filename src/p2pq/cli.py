@@ -6,10 +6,10 @@
     p2pq oracle-check <file> --peer ID --query "..."
 
 Exit codes: 0 success, 1 domain failure (validation error, no such
-peer, theorem mismatch), 2 usage or parse error (bad flags, malformed
-JSON, bad query text).  Output is deterministic: equal inputs produce
-byte-identical output.  The environment variable P2PQ_STEP_CEILING
-overrides the agent's fixpoint ceiling.
+peer, theorem mismatch), 2 usage or parse error (bad flags, a file that
+is not UTF-8, malformed JSON, bad query text).  Output is deterministic:
+equal inputs produce byte-identical output.  The environment variable
+P2PQ_STEP_CEILING overrides the agent's fixpoint ceiling.
 """
 
 from __future__ import annotations
@@ -101,7 +101,10 @@ def answer_report_from_dict(doc: dict) -> AnswerReport:
 
 def _load(path: str) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_network(fh.read())
+        try:
+            return load_network(fh.read())
+        except UnicodeDecodeError as e:
+            raise NetworkSyntaxError(f"{path!r} is not UTF-8 text: {e}") from e
 
 
 def _step_ceiling() -> int:

@@ -36,9 +36,6 @@ __all__ = [
     "neighbors",
 ]
 
-LEVEL_BASE = "base"
-LEVEL_VIEW = "view"
-
 
 @dataclass(frozen=True, slots=True)
 class RelationSignature:
@@ -88,8 +85,8 @@ class Peer:
     schema: tuple[RelationSignature, ...] = ()
     views: tuple[ViewDefinition, ...] = ()
     facts: frozenset[Atom] = frozenset()
-    # (name, arity) -> LEVEL_BASE or LEVEL_VIEW, for query_level
-    _levels: dict[tuple[str, int], str] = field(init=False, repr=False, compare=False)
+    # (name, arity) -> True for a relation, False for a view, for _is_base
+    _levels: dict[tuple[str, int], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
@@ -102,9 +99,8 @@ class Peer:
             if sig.name in relations:
                 raise ValidationError(f"peer {self.id!r}: duplicate relation {sig.name!r}")
             relations[sig.name] = sig.arity
-        view_arities = {v.name: v.arity for v in self.views}
-        levels = {key: LEVEL_VIEW for key in view_arities.items()}
-        levels.update((key, LEVEL_BASE) for key in relations.items())
+        levels = {(v.name, v.arity): False for v in self.views}
+        levels.update((key, True) for key in relations.items())
         object.__setattr__(self, "_levels", levels)
         names = set()
         for view in self.views:
@@ -115,7 +111,7 @@ class Peer:
                     f"peer {self.id!r}: view {view.name!r} clashes with a relation name"
                 )
             names.add(view.name)
-            if self.query_level(view.definition) != LEVEL_BASE:
+            if not self._is_base(view.definition):
                 raise ValidationError(
                     f"peer {self.id!r}: view {view.name!r} must be defined over base relations"
                 )
@@ -136,10 +132,15 @@ class Peer:
                 return v
         return None
 
-    def query_level(self, q: ConjunctiveQuery) -> str:
-        """Classify a query as base-level (schema relations only) or
-        view-level (this peer's view names only); anything mixed or
-        unknown raises "query/schema mismatch"."""
+    def require_base(self, q: ConjunctiveQuery) -> None:
+        """Raise "query/schema mismatch" unless q is base-level: its body
+        uses this peer's schema relations only."""
+        if not self._is_base(q):
+            raise QueryError(f"query/schema mismatch: {q.name!r} is not base-level on {self.id!r}")
+
+    def _is_base(self, q: ConjunctiveQuery) -> bool:
+        """True for schema relations only, False for this peer's views
+        only; a mixed or unknown body raises "query/schema mismatch"."""
         levels = set()
         for a in q.body:
             level = self._levels.get((a.predicate, len(a.args)))

@@ -41,7 +41,6 @@ __all__ = [
     "canonicalize",
     "term_key",
     "atom_key",
-    "match_args",
     "compare_constants",
 ]
 
@@ -288,7 +287,7 @@ class ConjunctiveQuery:
 # homomorphisms and containment
 
 
-def match_args(pattern: Sequence[Term], target: Sequence[Term], env: dict) -> Optional[dict]:
+def _match_args(pattern: Sequence[Term], target: Sequence[Term], env: dict) -> Optional[dict]:
     """Extend env so the pattern argument list maps onto the target one.
     Constants must match exactly; variables bind or must agree with a
     previous binding.  Returns the extended environment or None."""
@@ -401,7 +400,7 @@ def match_atoms(atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Va
         args = plan[step][0].args
         env = envs[-1]
         for cand in stack[-1]:
-            env2 = match_args(args, cand.args, env)
+            env2 = _match_args(args, cand.args, env)
             if env2 is None:
                 continue
             if step == last:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import QueryError, UnknownViewError, ValidationError
-from .network import LEVEL_BASE, MappingPair, Network, ViewDefinition
+from .network import MappingPair, Network, ViewDefinition
 from .queries import (
     Atom,
     BuiltinAtom,
@@ -207,8 +207,7 @@ def rew(q: ConjunctiveQuery, net: Network, i: str, j: str) -> Optional[Conjuncti
     group = net.interfaces.get((i, j))
     if group is None:
         raise ValidationError(f"no declared interface from {i!r} to {j!r}")
-    if peer_i.query_level(q) != LEVEL_BASE:
-        raise QueryError(f"query/schema mismatch: {q.name!r} is not base-level on {i!r}")
+    peer_i.require_base(q)
 
     reduct, constraints = split_builtins(q)
     from_names = {pair.from_view for pair in group}

@@ -11,7 +11,6 @@ from p2pq import (
     QueryError,
     ValidationError,
     canonicalize,
-    contains,
     equivalent,
     load_network,
     new_agent,
@@ -135,19 +134,6 @@ def test_run_is_deterministic():
     a = trace(net, "Pi", Q_I)
     b = trace(net, "Pi", Q_I)
     assert a == b
-
-
-def test_prune_subsumed_drops_strictly_weaker_arrivals():
-    net = two_peer()
-    plain = run(net, "Pi", Q_I)
-    pruned = run(net, "Pi", Q_I, prune_subsumed=True)
-    assert plain.total() == 3
-    assert pruned.total() == 2
-    assert pruned.per_peer_queries["Pi"] == frozenset({canonicalize(Q_I)})
-    # everything pruned away is subsumed by something kept
-    for pid, kept in pruned.per_peer_queries.items():
-        for q in plain.per_peer_queries[pid]:
-            assert any(contains(k, q) for k in kept)
 
 
 def test_step_ceiling_enforced():

@@ -48,6 +48,16 @@ def test_validate_deeply_nested_json_is_usage_error(tmp_path, capsys):
     assert "malformed JSON: maximum recursion depth exceeded" in capsys.readouterr().err
 
 
+def test_validate_non_utf8_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"peers": [\xff]}')
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {str(bad)!r} is not UTF-8 text: 'utf-8' codec can't decode "
+        "byte 0xff in position 11: invalid start byte\n"
+    )
+
+
 def test_validate_invalid_content_is_domain_error(tmp_path, capsys):
     doc = json.loads(TWO_PEER.read_text())
     doc["mappings"][0]["to_view"] = "nope"

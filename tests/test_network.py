@@ -176,14 +176,16 @@ def test_peer_rejects_view_relation_name_clash():
 def test_query_level_classification():
     net = load_network(TWO_PEER.read_text())
     pi = net.peer("Pi")
-    assert pi.query_level(parse_query("q(x) :- A(x, y)")) == "base"
-    assert pi.query_level(parse_query("q(x) :- v1(x, y)")) == "view"
+    assert pi.require_base(parse_query("q(x) :- A(x, y)")) is None
+    with pytest.raises(QueryError) as err:
+        pi.require_base(parse_query("q(x) :- v1(x, y)"))
+    assert str(err.value) == "query/schema mismatch: 'q' is not base-level on 'Pi'"
     with pytest.raises(QueryError, match="query/schema mismatch"):
-        pi.query_level(parse_query("q(x) :- A(x, y), v2(y)"))
+        pi.require_base(parse_query("q(x) :- A(x, y), v2(y)"))
     with pytest.raises(QueryError, match="query/schema mismatch"):
-        pi.query_level(parse_query("q(x) :- Zz(x)"))
+        pi.require_base(parse_query("q(x) :- Zz(x)"))
     with pytest.raises(QueryError):
-        pi.query_level(parse_query("q(x) :- A(x)"))  # wrong arity
+        pi.require_base(parse_query("q(x) :- A(x)"))  # wrong arity
 
 
 def test_query_level_on_directly_built_peer():
@@ -193,24 +195,29 @@ def test_query_level_on_directly_built_peer():
         (ViewDefinition("v", parse_query("v(x) :- A(x, y), B(y)")),),
     )
     before = repr(peer)
-    assert peer.query_level(parse_query("q(x) :- A(x, y), B(y)")) == "base"
-    assert peer.query_level(parse_query("q(x) :- v(x), v(y)")) == "view"
+    assert peer.require_base(parse_query("q(x) :- A(x, y), B(y)")) is None
     with pytest.raises(QueryError) as err:
-        peer.query_level(parse_query("q(x) :- A(x, y), v(y)"))
+        peer.require_base(parse_query("q(x) :- v(x), v(y)"))
+    assert str(err.value) == "query/schema mismatch: 'q' is not base-level on 'P'"
+    with pytest.raises(QueryError) as err:
+        peer.require_base(parse_query("q(x) :- A(x, y), v(y)"))
     assert str(err.value) == (
         "query/schema mismatch: query 'q' mixes base relations and views of peer 'P'"
     )
     for text, culprit in [("q(x) :- A(x)", "A/1"), ("q(x) :- v(x, y)", "v/2"), ("q(x) :- C(x)", "C/1")]:
         with pytest.raises(QueryError) as err:
-            peer.query_level(parse_query(text))
+            peer.require_base(parse_query(text))
         assert str(err.value) == (
             f"query/schema mismatch: {culprit} is neither a relation nor a view of peer 'P'"
         )
     # the level lookup takes no part in repr, equality or hashing
     assert repr(peer) == before
-    assert "'base'" not in before and "'view'" not in before
+    assert "_levels" not in before
     twin = Peer("P", peer.schema, peer.views)
     assert twin == peer and hash(twin) == hash(peer)
+    with pytest.raises(ValidationError) as err:
+        Peer("P", peer.schema, peer.views + (ViewDefinition("w", parse_query("w(x) :- v(x)")),))
+    assert str(err.value) == "peer 'P': view 'w' must be defined over base relations"
 
 
 def test_query_level_leaves_network_round_trip_intact():
@@ -218,7 +225,7 @@ def test_query_level_leaves_network_round_trip_intact():
     reprs = [repr(p) for p in net.peers]
     for p in net.peers:
         for v in p.views:
-            assert p.query_level(v.definition) == "base"
+            p.require_base(v.definition)
     assert [repr(p) for p in net.peers] == reprs
     assert load_network(render_network(net)) == net
     assert hash(load_network(render_network(net)).peer("Pi")) == hash(net.peer("Pi"))

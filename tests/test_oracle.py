@@ -12,10 +12,13 @@ from p2pq import (
     canonicalize,
     check_theorem,
     equivalent,
+    evaluate,
     expand,
     load_network,
+    new_agent,
     normalize,
     parse_query,
+    rew,
     run,
     weak_closure,
 )
@@ -125,13 +128,18 @@ def test_weak_closure_rejects_view_level_query():
     }
     net = load_network(json.dumps(doc))
     q = parse_query("q(x) :- v(x)")
-    message = "query/schema mismatch: 'q' is not base-level on 'P1'"
-    with pytest.raises(QueryError) as err:
-        weak_closure(net, "P1", q)
-    assert str(err.value) == message
-    with pytest.raises(QueryError) as err:
-        run(net, "P1", q)
-    assert str(err.value) == message
+    # every entry point that needs a base-level query reports it alike
+    demo = two_peer()
+    for call, pid in [
+        (lambda: weak_closure(net, "P1", q), "P1"),
+        (lambda: run(net, "P1", q), "P1"),
+        (lambda: new_agent(net, "P1", q), "P1"),
+        (lambda: evaluate(q, net.peer("P1")), "P1"),
+        (lambda: rew(parse_query("q(x) :- v1(x, y)"), demo, "Pi", "Pj"), "Pi"),
+    ]:
+        with pytest.raises(QueryError) as err:
+            call()
+        assert str(err.value) == f"query/schema mismatch: 'q' is not base-level on {pid!r}"
 
 
 def test_weak_closure_fills_unreachable_peers():
