@@ -490,22 +490,36 @@ def _retraction_target_ok(head_vars, candidate_body, builtins) -> bool:
 
 
 def _core_body(q: ConjunctiveQuery, body: list[Atom], builtins: tuple[BuiltinAtom, ...]) -> list[Atom]:
-    # Greedy retraction: drop an atom whenever the full query folds into
-    # the reduced one.  The result is unique up to variable renaming,
-    # which the labeling step below resolves.
-    changed = True
-    while changed and len(body) > 1:
-        changed = False
+    # Greedy retraction: drop the first atom whose removal leaves a query
+    # the full one folds into, and start again.  The result is unique up
+    # to variable renaming, which the labeling step below resolves.
+    # Each round first looks for one endomorphism whose image is smaller
+    # than the body.  If every endomorphism is onto, no atom can be
+    # dropped and the body is a core.  Otherwise an atom outside that
+    # image is dropped without a test, since the endomorphism itself
+    # folds the full query into the body without it; the scan order,
+    # and so the result, is greedy's.
+    while len(body) > 1:
         full = ConjunctiveQuery(q.name, q.head_vars, tuple(body), builtins)
-        for idx in range(len(body)):
+        for h in _homs(full, full):
+            # plain tuples: an Atom per image would validate every term again
+            image = {(a.predicate, tuple([h.get(t, t) for t in a.args])) for a in body}
+            if len(image) < len(body):
+                break
+        else:
+            return body
+        for idx, a in enumerate(body):
             candidate = body[:idx] + body[idx + 1 :]
             if not _retraction_target_ok(q.head_vars, candidate, builtins):
                 continue
+            if (a.predicate, a.args) not in image:
+                break
             reduced = ConjunctiveQuery(q.name, q.head_vars, tuple(candidate), builtins)
             if next(_homs(full, reduced), None) is not None:
-                body = candidate
-                changed = True
                 break
+        else:
+            return body  # the atoms outside the image keep the query safe
+        body = candidate
     return body
 
 
@@ -514,72 +528,134 @@ def _canonical_labeling(head_vars, body, builtins):
 
     Head variables are fixed to v0..v(k-1) by head position.  Remaining
     variables are named by exploring atom emission orders: at every step
-    only atoms achieving the minimal speculative key are expanded, with
-    branching on ties, so the search stays near-linear in practice while
-    the chosen labeling is a true minimum.  Isomorphic inputs therefore
-    produce identical output.
+    only the atoms achieving the minimal speculative key are expanded,
+    tied atoms in body order, and a branch whose keys so far exceed the
+    best leaf's is cut.  Leaves with equal atom keys are ranked by their
+    sorted constraint keys.  The chosen labeling is a true minimum, so
+    isomorphic inputs produce identical output.  The search still
+    branches on every tie: k disjoint components that differ only in
+    their constants are tried in all k! orders.
+
+    Variables are numbered once as ints, and their labels live in one
+    list, set on descent and undone on backtrack.  The search keeps an
+    explicit stack with one key and one list of tied atoms per level, so
+    long bodies do not recurse.
     """
-    base_env = {v: i for i, v in enumerate(head_vars)}
-
-    def spec_key(atom: Atom, env: dict, counter: int):
-        parts = []
-        env2 = env
-        c = counter
-        extended = False
-        for t in atom.args:
-            if isinstance(t, Var):
-                if t not in env2:
-                    if not extended:
-                        env2 = dict(env2)
-                        extended = True
-                    env2[t] = c
+    # keyed on variable names, whose hashing is native
+    ids = {v.name: i for i, v in enumerate(head_vars)}
+    atoms = []  # each atom's arguments as variable ids or constant keys
+    # Every emission order lists the atoms sorted by predicate, so the
+    # atom emitted at depth d has the d-th predicate in that order, and
+    # keys at one depth can leave the predicate out.
+    groups: dict[str, list[int]] = {}
+    for i, a in enumerate(body):
+        atoms.append([ids.setdefault(t.name, len(ids)) if isinstance(t, Var) else term_key(t) for t in a.args])
+        groups.setdefault(a.predicate, []).append(i)
+    scan = [groups[p] for p in sorted([a.predicate for a in body])]
+    constraints = [
+        (b.op, *[ids[t.name] if isinstance(t, Var) else term_key(t) for t in (b.lhs, b.rhs)]) for b in builtins
+    ]
+    n = len(body)
+    used = [False] * n
+    slot = [(0, 0, i) for i in range(len(ids))]  # key part of label i
+    label = [-1] * len(ids)
+    label[: len(head_vars)] = range(len(head_vars))
+    best = None  # keys of the best leaf, by depth
+    best_constraints = best_label = None
+    # one entry per level: the key its tied atoms share, the tied atoms,
+    # the next one to try, the labels the one tried last set, the counter
+    # on entry, and whether the keys above are already below best's
+    keys, tied_at, next_at, fresh_at, counter_at, below_at = [], [], [], [], [], []
+    counter, below = len(head_vars), False
+    while True:
+        # a new level: score the remaining atoms of its predicate
+        min_key, ties = None, []
+        for i in scan[len(keys)]:
+            if used[i]:
+                continue
+            parts = []
+            fresh = []
+            c = counter
+            for t in atoms[i]:
+                if type(t) is int:
+                    lab = label[t]
+                    if lab < 0:
+                        lab = label[t] = c
+                        c += 1
+                        fresh.append(t)
+                    parts.append(slot[lab])
+                else:
+                    parts.append(t)
+            for t in fresh:
+                label[t] = -1
+            key = tuple(parts)
+            if min_key is None or key < min_key:
+                min_key, ties = key, [i]
+            elif key == min_key:
+                ties.append(i)
+        keys.append(min_key)
+        tied_at.append(ties)
+        next_at.append(0)
+        fresh_at.append(())
+        counter_at.append(counter)
+        below_at.append(below)
+        while keys:  # emit the next tied atom, backtracking as needed
+            d = len(keys) - 1
+            ties = tied_at[d]
+            k = next_at[d]
+            if k:
+                used[ties[k - 1]] = False
+                for t in fresh_at[d]:
+                    label[t] = -1
+            key = keys[d]
+            below = below_at[d]
+            if best is not None and not below:
+                if key > best[d]:
+                    k = len(ties)  # every tied atom has this key
+                else:
+                    below = key < best[d]
+            if k == len(ties):
+                for level in (keys, tied_at, next_at, fresh_at, counter_at, below_at):
+                    level.pop()
+                continue
+            i = ties[k]
+            next_at[d] = k + 1
+            used[i] = True
+            c = counter_at[d]
+            fresh = []
+            for t in atoms[i]:
+                if type(t) is int and label[t] < 0:
+                    label[t] = c
                     c += 1
-                parts.append((0, 0, env2[t]))
-            elif isinstance(t.value, int):
-                parts.append((1, 0, t.value))
-            else:
-                parts.append((1, 1, t.value))
-        return (atom.predicate, tuple(parts)), env2, c
+                    fresh.append(t)
+            fresh_at[d] = fresh
+            if d + 1 < n:
+                counter = c
+                break
+            # a leaf: every atom emitted
+            leaf_constraints = tuple(sorted(
+                (op, slot[label[lhs]] if type(lhs) is int else lhs, slot[label[rhs]] if type(rhs) is int else rhs)
+                for op, lhs, rhs in constraints
+            ))
+            if best is not None and not below and leaf_constraints >= best_constraints:
+                continue
+            best, best_constraints, best_label = list(keys), leaf_constraints, list(label)
+            below_at[:] = [False] * len(below_at)  # the path is now best's own
+        else:
+            break
 
-    best: list = [None]  # (body_keys, builtin_keys, env)
-
-    def builtin_keys(env: dict):
-        keys = []
-        for b in builtins:
-            def tk(t):
-                if isinstance(t, Var):
-                    return (0, 0, env[t])
-                return (1, 0, t.value) if isinstance(t.value, int) else (1, 1, t.value)
-            keys.append((b.op, tk(b.lhs), tk(b.rhs)))
-        return tuple(sorted(keys))
-
-    def rec(remaining: list[Atom], env: dict, counter: int, acc: tuple):
-        if best[0] is not None:
-            prefix = best[0][0][: len(acc)]
-            if acc > prefix:
-                return
-        if not remaining:
-            full = (acc, builtin_keys(env), env)
-            if best[0] is None or (full[0], full[1]) < (best[0][0], best[0][1]):
-                best[0] = full
-            return
-        scored = []
-        for idx, atom in enumerate(remaining):
-            key, env2, c2 = spec_key(atom, env, counter)
-            scored.append((key, idx, env2, c2))
-        min_key = min(s[0] for s in scored)
-        for key, idx, env2, c2 in scored:
-            if key == min_key:
-                rec(remaining[:idx] + remaining[idx + 1 :], env2, c2, acc + (key,))
-
-    rec(list(body), base_env, len(head_vars), ())
-    _, _, env = best[0]
-    rename = {v: Var(f"v{i}") for v, i in env.items()}
-    new_head = tuple(Var(f"v{i}") for i in range(len(head_vars)))
-    new_body = [Atom(a.predicate, tuple(rename.get(t, t) for t in a.args)) for a in body]
+    named = [Var(f"v{i}") for i in range(len(ids))]
+    rename = {name: named[best_label[i]] for name, i in ids.items()}
+    new_body = [Atom(a.predicate, tuple([rename[t.name] if isinstance(t, Var) else t for t in a.args])) for a in body]
     # BuiltinAtom puts the renamed operands back in normal orientation
-    new_builtins = [BuiltinAtom(b.op, rename.get(b.lhs, b.lhs), rename.get(b.rhs, b.rhs)) for b in builtins]
-    return new_head, tuple(sorted(new_body, key=atom_key)), tuple(sorted(new_builtins, key=_builtin_key))
+    new_builtins = [
+        BuiltinAtom(b.op, *[rename[t.name] if isinstance(t, Var) else t for t in (b.lhs, b.rhs)]) for b in builtins
+    ]
+    return (
+        tuple(named[: len(head_vars)]),
+        tuple(sorted(new_body, key=atom_key)),
+        tuple(sorted(new_builtins, key=_builtin_key)),
+    )
 
 
 @lru_cache(maxsize=65536)

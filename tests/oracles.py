@@ -96,6 +96,54 @@ def brute_force_homomorphisms(general: ConjunctiveQuery, specific: ConjunctiveQu
     return found
 
 
+def reference_canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
+    """canonicalize written plainly: drop ground-true constraints and
+    duplicates, then drop the first atom whose removal keeps the query
+    safe and equivalent (by `brute_force_contains`) until none can go;
+    then name the variables by the least (atom keys in emission order,
+    sorted constraint keys) over every order of the remaining atoms,
+    numbering variables by first appearance after the head."""
+    body = list(dict.fromkeys(q.body))
+    builtins = tuple(dict.fromkeys(b for b in q.builtins if not (b.is_ground() and b.holds_ground())))
+    dropped = True
+    while dropped and len(body) > 1:
+        dropped = False
+        full = ConjunctiveQuery(q.name, q.head_vars, tuple(body), builtins)
+        for i in range(len(body)):
+            rest = body[:i] + body[i + 1 :]
+            bound = {v for a in rest for v in a.variables()}
+            if not bound.issuperset(q.head_vars) or not bound.issuperset(v for b in builtins for v in b.variables()):
+                continue
+            if brute_force_contains(full, ConjunctiveQuery(q.name, q.head_vars, tuple(rest), builtins)):
+                body, dropped = rest, True
+                break
+    best = None
+    for order in itertools.permutations(body):
+        names = {v: i for i, v in enumerate(q.head_vars)}
+        for a in order:
+            for v in a.variables():
+                names.setdefault(v, len(names))
+
+        def key(t):
+            return (0, 0, names[t]) if isinstance(t, Var) else term_key(t)
+
+        rank = (
+            tuple((a.predicate, tuple(key(t) for t in a.args)) for a in order),
+            tuple(sorted((b.op, key(b.lhs), key(b.rhs)) for b in builtins)),
+        )
+        if best is None or rank < best[0]:
+            best = (rank, names)
+    rename = {v: Var(f"v{i}") for v, i in best[1].items()}
+    new_body = [Atom(a.predicate, tuple(rename.get(t, t) for t in a.args)) for a in body]
+    new_builtins = [BuiltinAtom(b.op, rename.get(b.lhs, b.lhs), rename.get(b.rhs, b.rhs)) for b in builtins]
+    return ConjunctiveQuery(
+        q.name,
+        tuple(rename[v] for v in q.head_vars),
+        sorted(new_body, key=atom_key),
+        sorted(new_builtins, key=lambda b: (b.op, term_key(b.lhs), term_key(b.rhs))),
+    )
+
+
 def nested_loop_evaluate(q: ConjunctiveQuery, peer) -> TupleSet:
     """Evaluation by enumerating every assignment of the query's body
     variables into the active domain."""

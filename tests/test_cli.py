@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,37 @@ def test_oracle_check_agrees(capsys):
     argv = ["oracle-check", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)"]
     assert main(argv) == 0
     assert "coincide" in capsys.readouterr().out
+
+
+def test_long_chain_through_answer_and_oracle_check(tmp_path, capsys):
+    # a 1,200-atom chain over a relation no mapped view covers: the
+    # agent and the oracle canonicalize it without recursing, and it
+    # never crosses the interface
+    doc = {
+        "peers": [
+            {"id": "P0",
+             "schema": [{"name": "R", "arity": 2}, {"name": "M", "arity": 2}],
+             "views": [{"name": "m0", "def": "m0(x, y) :- M(x, y)"}],
+             "facts": ["R(1, 1)", "R(2, 3)"]},
+            {"id": "P1",
+             "schema": [{"name": "N", "arity": 2}],
+             "views": [{"name": "m1", "def": "m1(x, y) :- N(x, y)"}],
+             "facts": []},
+        ],
+        "mappings": [
+            {"from_peer": "P0", "from_view": "m0", "to_peer": "P1", "to_view": "m1"},
+            {"from_peer": "P1", "from_view": "m1", "to_peer": "P0", "to_view": "m0"},
+        ],
+    }
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(doc))
+    query = "q(x0) :- " + ", ".join(f"R(x{i}, x{i + 1})" for i in range(1200))
+    start = time.perf_counter()
+    assert main(["answer", str(net_file), "--peer", "P0", "--query", query]) == 0
+    assert "union: 1 rows" in capsys.readouterr().out
+    assert main(["oracle-check", str(net_file), "--peer", "P0", "--query", query]) == 0
+    assert "coincide" in capsys.readouterr().out
+    assert time.perf_counter() - start < 20
 
 
 def test_console_script_entry_point():

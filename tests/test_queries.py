@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,8 @@ from p2pq import (
     homomorphisms,
     parse_query,
 )
-from generators import rand_query_pair
-from oracles import brute_force_contains, brute_force_homomorphisms
+from generators import rand_query, rand_query_pair
+from oracles import brute_force_contains, brute_force_homomorphisms, reference_canonicalize
 
 x, y = Var("x"), Var("y")
 
@@ -163,6 +164,59 @@ def test_canonicalize_respects_head_order():
     q1 = parse_query("q(x, y) :- R(x, y)")
     q2 = parse_query("q(y, x) :- R(x, y)")
     assert canonicalize(q1) != canonicalize(q2)
+
+
+def test_canonicalize_agrees_with_reference():
+    rng = random.Random(20261018)
+    consts = [Const(1), Const(3), Const("a")]
+    for _ in range(400):
+        # two relations make redundant atoms common: about one query in
+        # five is not a core
+        q = rand_query(rng, {"R": 2, "S": 1}, max_atoms=6, max_vars=4)
+        body_vars = list({v: None for a in q.body for v in a.variables()})
+        builtins = []
+        for _ in range(rng.randint(0, 2) if body_vars else 0):
+            other = rng.choice(body_vars + consts)
+            builtins.append(BuiltinAtom(rng.choice(["=", "!=", "<", "<=", ">", ">="]), rng.choice(body_vars), other))
+        q = ConjunctiveQuery(q.name, q.head_vars, q.body, builtins)
+        assert repr(canonicalize(q)) == repr(reference_canonicalize(q)), str(q)
+
+
+def _timed_canonical_text(q: ConjunctiveQuery, bound_s: float = 10) -> str:
+    canonicalize.cache_clear()
+    start = time.perf_counter()
+    text = str(canonicalize(q))
+    assert time.perf_counter() - start < bound_s
+    return text
+
+
+def test_canonicalize_clique_with_head():
+    # the clique is a core; its six endomorphisms are all onto
+    q = parse_query("q(x0, x1) :- " + ", ".join(f"E(x{i}, x{j})" for i in range(5) for j in range(5) if i != j))
+    assert _timed_canonical_text(q) == (
+        "q(v0, v1) :- E(v0, v1), E(v0, v2), E(v0, v3), E(v0, v4), E(v1, v0), E(v1, v2), E(v1, v3), "
+        "E(v1, v4), E(v2, v0), E(v2, v1), E(v2, v3), E(v2, v4), E(v3, v0), E(v3, v1), E(v3, v2), "
+        "E(v3, v4), E(v4, v0), E(v4, v1), E(v4, v2), E(v4, v3)"
+    )
+
+
+def test_canonicalize_disjoint_stars():
+    # the labeling tries the R atoms in every one of 8! orders before
+    # the constants tell the components apart
+    q = parse_query("q() :- " + ", ".join(f"R(x{i}, y{i}), S(y{i}, {i})" for i in range(8)))
+    assert _timed_canonical_text(q) == (
+        "q() :- R(v0, v1), R(v10, v11), R(v12, v13), R(v14, v15), R(v2, v3), R(v4, v5), R(v6, v7), "
+        "R(v8, v9), S(v1, 0), S(v11, 5), S(v13, 6), S(v15, 7), S(v3, 1), S(v5, 2), S(v7, 3), S(v9, 4)"
+    )
+
+
+def test_canonicalize_long_chain():
+    n = 1200
+    xs = [Var(f"x{i}") for i in range(n + 1)]
+    q = ConjunctiveQuery("q", (xs[0],), tuple(Atom("R", (xs[i], xs[i + 1])) for i in range(n)))
+    # labels follow the chain; the body is sorted on the label names
+    edges = sorted((f"v{i}", f"v{i + 1}") for i in range(n))
+    assert _timed_canonical_text(q) == "q(v0) :- " + ", ".join(f"R({a}, {b})" for a, b in edges)
 
 
 def test_canonical_forms_equal_iff_equivalent():
