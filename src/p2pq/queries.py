@@ -489,6 +489,19 @@ def _retraction_target_ok(head_vars, candidate_body, builtins) -> bool:
     return True
 
 
+def _smaller_image(q: ConjunctiveQuery, n: int) -> Optional[set]:
+    """The image of the first endomorphism of q, fixing the head, that
+    has fewer than n atoms, n being the number of distinct atoms of q's
+    body, as (predicate, args) tuples; None when every endomorphism is
+    onto, that is, when q is a core."""
+    for h in _homs(q, q):
+        # plain tuples: an Atom per image would validate every term again
+        image = {(a.predicate, tuple([h.get(t, t) for t in a.args])) for a in q.body}
+        if len(image) < n:
+            return image
+    return None
+
+
 def _core_body(q: ConjunctiveQuery, body: list[Atom], builtins: tuple[BuiltinAtom, ...]) -> list[Atom]:
     # Greedy retraction: drop the first atom whose removal leaves a query
     # the full one folds into, and start again.  The result is unique up
@@ -499,14 +512,14 @@ def _core_body(q: ConjunctiveQuery, body: list[Atom], builtins: tuple[BuiltinAto
     # image is dropped without a test, since the endomorphism itself
     # folds the full query into the body without it; the scan order,
     # and so the result, is greedy's.
+    # An atom whose test failed is not tested again in a later round:
+    # a witness there, composed with the rounds' retractions, would fold
+    # the earlier body into itself without that atom.
+    failed = [False] * len(body)  # per atom of body: its test failed
     while len(body) > 1:
         full = ConjunctiveQuery(q.name, q.head_vars, tuple(body), builtins)
-        for h in _homs(full, full):
-            # plain tuples: an Atom per image would validate every term again
-            image = {(a.predicate, tuple([h.get(t, t) for t in a.args])) for a in body}
-            if len(image) < len(body):
-                break
-        else:
+        image = _smaller_image(full, len(body))
+        if image is None:
             return body
         for idx, a in enumerate(body):
             candidate = body[:idx] + body[idx + 1 :]
@@ -514,12 +527,16 @@ def _core_body(q: ConjunctiveQuery, body: list[Atom], builtins: tuple[BuiltinAto
                 continue
             if (a.predicate, a.args) not in image:
                 break
+            if failed[idx]:
+                continue
             reduced = ConjunctiveQuery(q.name, q.head_vars, tuple(candidate), builtins)
             if next(_homs(full, reduced), None) is not None:
                 break
+            failed[idx] = True
         else:
             return body  # the atoms outside the image keep the query safe
         body = candidate
+        del failed[idx]
     return body
 
 

@@ -30,6 +30,7 @@ from .queries import (
     ConjunctiveQuery,
     Term,
     Var,
+    _smaller_image,
     atom_key,
     canonicalize,
     contains,
@@ -84,6 +85,13 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
     sends each instance where its fold sent it, is an endomorphism of q
     fixing the head whose image lies in q[m].  So the first hit is the
     same as without pruning.
+
+    A core makes no such test.  At the first cover short of the full
+    body, one endomorphism search (shared with `canonicalize`'s core
+    retraction) decides whether q is a core.  A core has no proper
+    retract, so it maps into no q[m] but the full one, and every other
+    cover is refused at once.  q need not be a core: the reduct of a
+    canonical query with constraints may not be one.
     """
     if q.builtins:
         raise QueryError(f"minicon expects a constraint-free query, got {q.name!r}")
@@ -115,6 +123,7 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
         cover.append(covers[c.predicate, c.args])
     full = (1 << len(bits)) - 1
     folds_into = {full: True}  # cover m -> does q map into q[m]
+    core = None  # is q a core; decided at the first mask short of full
     for size in range(1, min(len(q.body), len(candidates)) + 1):
         for combo in itertools.combinations(range(len(candidates)), size):
             h = m = 0
@@ -125,10 +134,16 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
                 continue
             ok = folds_into.get(m)
             if ok is None:
-                # q[m] is safe: a view's head variables occur in its body,
-                # so each candidate's args occur in its folds' images
-                sub = tuple(a for a in q.body if bits[a.predicate, a.args] & m)
-                ok = folds_into[m] = contains(q, ConjunctiveQuery(q.name, q.head_vars, sub, ()))
+                if core is None:
+                    core = _smaller_image(q, len(bits)) is None
+                if core:  # a core folds into none of its proper sub-bodies
+                    ok = False
+                else:
+                    # q[m] is safe: a view's head variables occur in its body,
+                    # so each candidate's args occur in its folds' images
+                    sub = tuple(a for a in q.body if bits[a.predicate, a.args] & m)
+                    ok = contains(q, ConjunctiveQuery(q.name, q.head_vars, sub, ()))
+                folds_into[m] = ok
             if not ok:
                 continue
             body = tuple(candidates[i] for i in combo)

@@ -190,6 +190,15 @@ def _timed_canonical_text(q: ConjunctiveQuery, bound_s: float = 10) -> str:
     return text
 
 
+def test_canonicalize_skips_atoms_that_failed():
+    # round 1 tests R(x, x) and fails, then drops R(y, x); round 2 drops
+    # R(x, z) without testing R(x, x) again
+    q = parse_query("q(x) :- R(x, x), R(y, x), R(x, z)")
+    out = canonicalize(q)
+    assert str(out) == "q(v0) :- R(v0, v0)"
+    assert repr(out) == repr(reference_canonicalize(q))
+
+
 def test_canonicalize_clique_with_head():
     # the clique is a core; its six endomorphisms are all onto
     q = parse_query("q(x0, x1) :- " + ", ".join(f"E(x{i}, x{j})" for i in range(5) for j in range(5) if i != j))

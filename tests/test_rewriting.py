@@ -11,6 +11,8 @@ from p2pq import (
     ValidationError,
     ViewDefinition,
     ViewExpression,
+    canonicalize,
+    contains,
     equivalent,
     load_network,
     minicon,
@@ -20,6 +22,7 @@ from p2pq import (
     subst,
     unfold,
 )
+from p2pq import rewriting
 from generators import rand_network, rand_peer_query
 from oracles import brute_force_equivalent_rewriting, reference_minicon
 
@@ -172,6 +175,12 @@ def test_minicon_agrees_with_reference():
         ("q(x) :- R(x, y), R(x, z)", ("v(x) :- R(x, y)",), "q(x) :- v(x)"),
         ("q(x) :- R(x, y), S(y)", ("r(x, y) :- R(x, y)",), None),
     ]
+    # the reduct of a canonical query with constraints need not be a
+    # core: both atoms stay for their constraints, and the first hit
+    # covers only one of them
+    constrained = canonicalize(parse_query("q(x) :- R(x, y), R(x, z), y < 5, z > 7"))
+    assert len(constrained.body) == 2
+    fixed.append((str(split_builtins(constrained)[0]), ("r(x, y) :- R(x, y)",), "q(v0) :- r(v0, v1)"))
     for text, view_texts, expected in fixed:
         q, defs = parse_query(text), views(*view_texts)
         mine = minicon(q, defs, "P")
@@ -187,6 +196,27 @@ def test_minicon_agrees_with_reference():
     assert str(minicon(chain(12), defs, "P0").query) == (
         "q(x0, x12) :- j(x0, x2), j(x10, x12), j(x2, x4), j(x4, x6), j(x6, x8), j(x8, x10)"
     )
+
+
+def test_minicon_makes_no_cover_test_on_a_core(monkeypatch):
+    # chain(m) is a core, so it maps into none of its proper sub-bodies
+    # and minicon refuses those covers without a containment test
+    calls = []
+
+    def counting(general, specific):
+        calls.append((general, specific))
+        return contains(general, specific)
+
+    monkeypatch.setattr(rewriting, "contains", counting)
+    defs = views("r0(x, y) :- R0(x, y)", "r1(x, y) :- R1(x, y)", "j(x, z) :- R0(x, y), R1(y, z)")
+    for m in range(2, 10):
+        q = chain(m)
+        start = len(calls)
+        assert minicon(q, defs, "P0") is not None
+        assert len(calls) > start
+        for general, specific in calls[start:]:
+            assert general == q
+            assert not set(specific.body) < set(q.body), f"chain({m}): {specific}"
 
 
 def test_subst_translates_each_view():
@@ -267,6 +297,32 @@ def test_rew_empty_when_constraint_var_projected_away():
     assert rew(parse_query("q(x) :- R(x, y)"), net, "P1", "P2") is not None
     # y is projected away by p1, so the constraint cannot be re-attached
     assert rew(parse_query("q(x) :- R(x, y), y < 5"), net, "P1", "P2") is None
+
+
+def test_rew_empty_when_constrained_reduct_is_not_a_core():
+    # canonical is not core: both R atoms stay for their constraints,
+    # minicon answers the reduct with r(v0, v1) alone, and the target
+    # view has no spare variable that could carry 7 < v2
+    doc = {
+        "peers": [
+            {
+                "id": "P1",
+                "schema": [{"name": "R", "arity": 2}],
+                "views": [{"name": "r", "def": "r(x, y) :- R(x, y)"}],
+                "facts": [],
+            },
+            {
+                "id": "P2",
+                "schema": [{"name": "C", "arity": 2}],
+                "views": [{"name": "w", "def": "w(a, b) :- C(a, b)"}],
+                "facts": [],
+            },
+        ],
+        "mappings": [{"from_peer": "P1", "from_view": "r", "to_peer": "P2", "to_view": "w"}],
+    }
+    net = load_network(json.dumps(doc))
+    q = canonicalize(parse_query("q(x) :- R(x, y), R(x, z), y < 5, z > 7"))
+    assert rew(q, net, "P1", "P2") is None
 
 
 def test_rew_requires_declared_interface():
