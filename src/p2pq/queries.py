@@ -12,10 +12,10 @@ function, so results can be cached and shared freely.
 
 Containment is decided by homomorphism existence.  Constraints are
 handled conservatively: a constraint of the more general query must
-either become a ground comparison that evaluates to true, or appear
-syntactically (after substitution) among the constraints of the more
-specific query.  This is sound but deliberately incomplete; no interval
-reasoning is attempted.
+either appear syntactically (after substitution) among the constraints
+of the more specific query, or become a ground comparison that
+evaluates to true.  This is sound but deliberately incomplete; no
+interval reasoning is attempted.
 """
 
 from __future__ import annotations
@@ -291,8 +291,6 @@ def _match_args(pattern: Sequence[Term], target: Sequence[Term], env: dict) -> O
     """Extend env so the pattern argument list maps onto the target one.
     Constants must match exactly; variables bind or must agree with a
     previous binding.  Returns the extended environment or None."""
-    if len(pattern) != len(target):
-        return None
     out = env
     copied = False
     for p, t in zip(pattern, target):
@@ -414,16 +412,22 @@ def match_atoms(atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Va
             envs.pop()
 
 
+def _builtin_image(b: BuiltinAtom, env: Mapping[Var, Term]) -> BuiltinAtom:
+    return BuiltinAtom(b.op, env.get(b.lhs, b.lhs), env.get(b.rhs, b.rhs))
+
+
+def _ground_true(b: BuiltinAtom) -> bool:
+    return b.is_ground() and b.holds_ground()
+
+
 def _builtin_image_ok(b: BuiltinAtom, env: Mapping[Var, Term], target_builtins: frozenset[BuiltinAtom]) -> bool:
-    # Constraint survival rule: the image is acceptable when it is a
-    # ground comparison that holds, or is literally one of the target's
-    # constraints (both sides stored in normal orientation).
-    lhs = env.get(b.lhs, b.lhs) if isinstance(b.lhs, Var) else b.lhs
-    rhs = env.get(b.rhs, b.rhs) if isinstance(b.rhs, Var) else b.rhs
-    image = BuiltinAtom(b.op, lhs, rhs)
-    if image.is_ground():
-        return image.holds_ground()
-    return image in target_builtins
+    # Constraint survival rule: the image is acceptable when it is
+    # literally one of the target's constraints (both sides stored in
+    # normal orientation), or a ground comparison that holds.  The
+    # literal test comes first, so a query contains itself even when one
+    # of its constraints is ground and false.
+    image = _builtin_image(b, env)
+    return image in target_builtins or _ground_true(image)
 
 
 def _homs(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> Iterator[dict]:
@@ -478,66 +482,31 @@ def _dedupe(seq):
     return out
 
 
-def _retraction_target_ok(head_vars, candidate_body, builtins) -> bool:
-    # removal must keep the query safe
-    bound = {v for a in candidate_body for v in a.variables()}
-    if any(v not in bound for v in head_vars):
-        return False
-    for b in builtins:
-        if any(v not in bound for v in b.variables()):
-            return False
-    return True
-
-
-def _smaller_image(q: ConjunctiveQuery, n: int) -> Optional[set]:
-    """The image of the first endomorphism of q, fixing the head, that
-    has fewer than n atoms, n being the number of distinct atoms of q's
-    body, as (predicate, args) tuples; None when every endomorphism is
-    onto, that is, when q is a core."""
+def _smaller_image(q: ConjunctiveQuery, n: int) -> Optional[dict]:
+    """The first endomorphism of q, fixing the head, whose image has
+    fewer than n atoms, n being the number of distinct atoms of q's
+    body; None when every endomorphism is onto, that is, when q is a
+    core."""
     for h in _homs(q, q):
         # plain tuples: an Atom per image would validate every term again
-        image = {(a.predicate, tuple([h.get(t, t) for t in a.args])) for a in q.body}
-        if len(image) < n:
-            return image
+        if len({(a.predicate, tuple([h.get(t, t) for t in a.args])) for a in q.body}) < n:
+            return h
     return None
 
 
-def _core_body(q: ConjunctiveQuery, body: list[Atom], builtins: tuple[BuiltinAtom, ...]) -> list[Atom]:
-    # Greedy retraction: drop the first atom whose removal leaves a query
-    # the full one folds into, and start again.  The result is unique up
-    # to variable renaming, which the labeling step below resolves.
-    # Each round first looks for one endomorphism whose image is smaller
-    # than the body.  If every endomorphism is onto, no atom can be
-    # dropped and the body is a core.  Otherwise an atom outside that
-    # image is dropped without a test, since the endomorphism itself
-    # folds the full query into the body without it; the scan order,
-    # and so the result, is greedy's.
-    # An atom whose test failed is not tested again in a later round:
-    # a witness there, composed with the rounds' retractions, would fold
-    # the earlier body into itself without that atom.
-    failed = [False] * len(body)  # per atom of body: its test failed
-    while len(body) > 1:
-        full = ConjunctiveQuery(q.name, q.head_vars, tuple(body), builtins)
-        image = _smaller_image(full, len(body))
-        if image is None:
-            return body
-        for idx, a in enumerate(body):
-            candidate = body[:idx] + body[idx + 1 :]
-            if not _retraction_target_ok(q.head_vars, candidate, builtins):
-                continue
-            if (a.predicate, a.args) not in image:
-                break
-            if failed[idx]:
-                continue
-            reduced = ConjunctiveQuery(q.name, q.head_vars, tuple(candidate), builtins)
-            if next(_homs(full, reduced), None) is not None:
-                break
-            failed[idx] = True
-        else:
-            return body  # the atoms outside the image keep the query safe
-        body = candidate
-        del failed[idx]
-    return body
+def _core(q: ConjunctiveQuery) -> ConjunctiveQuery:
+    # Retract onto the image of an endomorphism h that shrinks the body,
+    # until every endomorphism is onto.  The image is safe: h fixes the
+    # head, and a variable h(v) occurs in h(a) for an atom a holding v.
+    # It is equivalent to q: h maps q onto it, and it is a part of q,
+    # since h sends each constraint to one of q's or to a ground one that
+    # holds, which is dropped.  The result is unique up to variable
+    # renaming, which the labeling step resolves.
+    while (h := _smaller_image(q, len(q.body))) is not None:
+        body = _dedupe(Atom(a.predicate, tuple([h.get(t, t) for t in a.args])) for a in q.body)
+        builtins = [_builtin_image(b, h) for b in q.builtins]
+        q = ConjunctiveQuery(q.name, q.head_vars, body, _dedupe(b for b in builtins if not _ground_true(b)))
+    return q
 
 
 def _canonical_labeling(head_vars, body, builtins):
@@ -680,21 +649,23 @@ def _canonical_form(q: ConjunctiveQuery) -> ConjunctiveQuery:
     # Keyed on structure only, since names take no part in equality:
     # the name of the result is that of the first query seen with this
     # structure, and `canonicalize` puts the caller's name back.
-    builtins = tuple(_dedupe(b for b in q.builtins if not (b.is_ground() and b.holds_ground())))
-    body = _dedupe(q.body)
-    body = _core_body(q, body, builtins)
-    new_head, new_body, new_builtins = _canonical_labeling(q.head_vars, body, builtins)
+    builtins = _dedupe(b for b in q.builtins if not _ground_true(b))
+    core = _core(ConjunctiveQuery(q.name, q.head_vars, _dedupe(q.body), builtins))
+    new_head, new_body, new_builtins = _canonical_labeling(q.head_vars, core.body, core.builtins)
     return ConjunctiveQuery(q.name, new_head, new_body, new_builtins)
 
 
 def canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """Canonical representative of q's equivalence class.
 
-    Drops duplicate atoms and ground-true constraints, minimizes the
-    body by retraction, renames variables to v0, v1, ... and orders body
-    and constraints deterministically.  For constraint-free queries,
-    equivalent inputs yield identical (structurally equal) outputs; the
-    name label is q's own, whatever was canonicalized before.
+    Drops duplicate atoms and ground-true constraints, retracts q onto
+    its core, renames variables to v0, v1, ... and orders body and
+    constraints deterministically.  Two queries have identical
+    (structurally equal) canonical forms iff they are `equivalent`,
+    constraints included.  Equivalence here is the syntactic constraint
+    rule of `contains`, not implication: ``x < 4`` and ``x < 4, x < 9``
+    stay apart.  The name label is q's own, whatever was canonicalized
+    before.
 
     The work is cached on structure; ``canonicalize.cache_clear()`` and
     ``canonicalize.cache_info()`` reach that cache.

@@ -87,8 +87,9 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
     same as without pruning.
 
     A core makes no such test.  At the first cover short of the full
-    body, one endomorphism search (shared with `canonicalize`'s core
-    retraction) decides whether q is a core.  A core has no proper
+    body, one search for an endomorphism whose image is smaller than
+    q's body decides whether q is a core; `canonicalize` retracts onto
+    such images until that search finds none.  A core has no proper
     retract, so it maps into no q[m] but the full one, and every other
     cover is refused at once.  q need not be a core: the reduct of a
     canonical query with constraints may not be one.

@@ -37,13 +37,19 @@ def _all_terms(q: ConjunctiveQuery):
     return tuple(seen)
 
 
-def _image_ok(b: BuiltinAtom, env, target_builtins):
+def _builtin_image(b: BuiltinAtom, env) -> BuiltinAtom:
     lhs = env.get(b.lhs, b.lhs) if isinstance(b.lhs, Var) else b.lhs
     rhs = env.get(b.rhs, b.rhs) if isinstance(b.rhs, Var) else b.rhs
-    image = BuiltinAtom(b.op, lhs, rhs)
-    if image.is_ground():
-        return image.holds_ground()
-    return image in target_builtins
+    return BuiltinAtom(b.op, lhs, rhs)
+
+
+def _ground_true(b: BuiltinAtom) -> bool:
+    return b.is_ground() and b.holds_ground()
+
+
+def _image_ok(b: BuiltinAtom, env, target_builtins):
+    image = _builtin_image(b, env)
+    return image in target_builtins or _ground_true(image)
 
 
 def brute_force_contains(general: ConjunctiveQuery, specific: ConjunctiveQuery) -> bool:
@@ -98,25 +104,26 @@ def brute_force_homomorphisms(general: ConjunctiveQuery, specific: ConjunctiveQu
 
 def reference_canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """canonicalize written plainly: drop ground-true constraints and
-    duplicates, then drop the first atom whose removal keeps the query
-    safe and equivalent (by `brute_force_contains`) until none can go;
-    then name the variables by the least (atom keys in emission order,
+    duplicates, then, while some homomorphism of the query into itself
+    (by `brute_force_homomorphisms`) has an image with fewer atoms,
+    replace the query by the image of one that does: its atoms and
+    constraints mapped, duplicates and ground-true constraints dropped.
+    Then name the variables by the least (atom keys in emission order,
     sorted constraint keys) over every order of the remaining atoms,
     numbering variables by first appearance after the head."""
     body = list(dict.fromkeys(q.body))
-    builtins = tuple(dict.fromkeys(b for b in q.builtins if not (b.is_ground() and b.holds_ground())))
-    dropped = True
-    while dropped and len(body) > 1:
-        dropped = False
-        full = ConjunctiveQuery(q.name, q.head_vars, tuple(body), builtins)
-        for i in range(len(body)):
-            rest = body[:i] + body[i + 1 :]
-            bound = {v for a in rest for v in a.variables()}
-            if not bound.issuperset(q.head_vars) or not bound.issuperset(v for b in builtins for v in b.variables()):
-                continue
-            if brute_force_contains(full, ConjunctiveQuery(q.name, q.head_vars, tuple(rest), builtins)):
-                body, dropped = rest, True
+    builtins = list(dict.fromkeys(b for b in q.builtins if not _ground_true(b)))
+    while True:
+        full = ConjunctiveQuery(q.name, q.head_vars, tuple(body), tuple(builtins))
+        for h in brute_force_homomorphisms(full, full):
+            env = dict(h)
+            image = list(dict.fromkeys(Atom(a.predicate, tuple(env.get(t, t) for t in a.args)) for a in body))
+            if len(image) < len(body):
+                mapped = [_builtin_image(b, env) for b in builtins]
+                body, builtins = image, list(dict.fromkeys(c for c in mapped if not _ground_true(c)))
                 break
+        else:
+            break
     best = None
     for order in itertools.permutations(body):
         names = {v: i for i, v in enumerate(q.head_vars)}

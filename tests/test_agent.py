@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -74,6 +75,26 @@ def test_run_two_peer_fixture():
     assert result.per_peer_queries["Pj"] == frozenset(
         {parse_query("q(v0) :- C(v0, v1), D(v1)")}
     )
+
+
+def test_run_reaches_a_fixpoint_under_a_false_ground_constraint():
+    # each round trip brings the query back, and the agent must see that
+    # it already holds it: a query contains itself even when unsatisfiable
+    doc = {
+        "peers": [
+            {"id": "P", "schema": [{"name": "A", "arity": 1}], "views": [{"name": "v", "def": "v(x) :- A(x)"}], "facts": []},
+            {"id": "Q", "schema": [{"name": "B", "arity": 1}], "views": [{"name": "w", "def": "w(x) :- B(x)"}], "facts": []},
+        ],
+        "mappings": [
+            {"from_peer": "P", "from_view": "v", "to_peer": "Q", "to_view": "w"},
+            {"from_peer": "Q", "from_view": "w", "to_peer": "P", "to_view": "v"},
+        ],
+    }
+    result = run(load_network(json.dumps(doc)), "P", parse_query("q(x) :- A(x), 1 < 0"), step_ceiling=100)
+    assert result.per_peer_queries == {
+        "P": frozenset({parse_query("q(v0) :- A(v0), 1 < 0")}),
+        "Q": frozenset({parse_query("q(v0) :- B(v0), 1 < 0")}),
+    }
 
 
 def test_step_reaches_the_same_fixpoint():
