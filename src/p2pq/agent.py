@@ -17,7 +17,8 @@ from typing import Union
 
 from .errors import CeilingError, QueryError, ValidationError
 from .network import Network, neighbors
-# contains is unused here; perfbench's tracer wraps agent.contains
+# contains and equivalent are unused here; perfbench's tracer wraps
+# agent.contains and agent.equivalent
 from .queries import ConjunctiveQuery, canonicalize, contains, equivalent
 from .rewriting import rew
 
@@ -117,7 +118,9 @@ def _elaborate(net: Network, state: AgentState, index: int) -> tuple[AgentState,
             if out is None:
                 continue
             target = queues[j]
-            if not any(equivalent(old, out) for old in target.queries):
+            # held queries and rew's output are canonical, so equality
+            # is equivalence
+            if out not in target.queries:
                 queues[j] = PeerQueue(target.queries + (out,), target.pointer)
                 appended.append((j, out))
         return AgentState(queues), TraceStep(index, pid, q, tuple(appended))

@@ -10,6 +10,10 @@ peer, theorem mismatch), 2 usage or parse error (bad flags, a file that
 is not UTF-8, malformed JSON, bad query text).  Output is deterministic:
 equal inputs produce byte-identical output.  The environment variable
 P2PQ_STEP_CEILING overrides the agent's fixpoint ceiling.
+
+Each call builds its parser from the `_COMMANDS` table: only the
+subcommand that argv names, or all four when it names none, so that
+root-level help and usage errors read as they do with all registered.
 """
 
 from __future__ import annotations
@@ -196,44 +200,47 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if report.agrees else EXIT_DOMAIN
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_PEER_QUERY = {"--peer": _REQUIRED, "--query": _REQUIRED}
+
+# name: (help, handler, options after the positional file argument)
+_COMMANDS = {
+    "validate": ("check a network document", cmd_validate, {}),
+    "answer": ("answer a query posed at a peer", cmd_answer, {
+        **_PEER_QUERY,
+        "--format": {"choices": ("table", "json"), "default": "table"},
+        "--trace": {"action": "store_true"},
+    }),
+    "rewrite": ("rewrite a query toward one neighbor", cmd_rewrite,
+                {"--peer": _REQUIRED, "--target": _REQUIRED, "--query": _REQUIRED}),
+    "oracle-check": ("certify the agent against the deduction oracle", cmd_oracle_check, _PEER_QUERY),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2pq",
         description="Query answering over peer-to-peer view mappings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a network document")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("answer", help="answer a query posed at a peer")
-    p.add_argument("file")
-    p.add_argument("--peer", required=True)
-    p.add_argument("--query", required=True)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_answer)
-
-    p = sub.add_parser("rewrite", help="rewrite a query toward one neighbor")
-    p.add_argument("file")
-    p.add_argument("--peer", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--query", required=True)
-    p.set_defaults(func=cmd_rewrite)
-
-    p = sub.add_parser("oracle-check", help="certify the agent against the deduction oracle")
-    p.add_argument("file")
-    p.add_argument("--peer", required=True)
-    p.add_argument("--query", required=True)
-    p.set_defaults(func=cmd_oracle_check)
-
+    # the metavar keeps the root's usage line, shown for an unrecognized
+    # argument, listing all four commands when only one is registered
+    named = argv[:1] if argv and argv[0] in _COMMANDS else None
+    metavar = "{" + ",".join(_COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in named or _COMMANDS:
+        help_text, handler, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, NetworkSyntaxError) as e:

@@ -11,7 +11,9 @@ Head positions must be variables.
 
 from __future__ import annotations
 
+import itertools
 import re
+import string
 from typing import NoReturn, Optional
 
 from .errors import ParseError
@@ -19,24 +21,17 @@ from .queries import Atom, BuiltinAtom, ConjunctiveQuery, Const, Term, Var
 
 __all__ = ["parse_query", "parse_atom"]
 
-# Each match absorbs the whitespace before its token; BAD catches any
-# other character, so matches are contiguous up to trailing whitespace.
-_TOKEN_RE = re.compile(
-    r"""
-    \s*(?:
-      (?P<ARROW>:-)
-    | (?P<OP><=|>=|!=|=|<|>)
-    | (?P<LPAR>\()
-    | (?P<RPAR>\))
-    | (?P<COMMA>,)
-    | (?P<INT>-?[0-9]+)
-    | (?P<STRING>"(?:[^"\\]|\\.)*")
-    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<BAD>\S)
-    )
-    """,
-    re.VERBOSE,
-)
+# One capture group, so findall yields the token texts.  Each match
+# absorbs the whitespace before its token; the last alternative catches
+# any other character, so matches are contiguous up to trailing whitespace.
+_TOKEN_RE = re.compile(r'\s*(:-|<=|>=|!=|[=<>(),]|-?[0-9]+|"(?:[^"\\]|\\.)*"|[A-Za-z_][A-Za-z0-9_]*|\S)')
+
+# A token's kind follows from its first character; a one-character token
+# is looked up whole, so a lone '-', '"', '!' or ':' is BAD.
+_KIND = {":": "ARROW", '"': "STRING", "(": "LPAR", ")": "RPAR", ",": "COMMA",
+         **dict.fromkeys("<>!=", "OP"), **dict.fromkeys(string.digits + "-", "INT"),
+         **dict.fromkeys(string.ascii_letters + "_", "IDENT")}
+_LONE_KIND = {c: kind for c, kind in _KIND.items() if c not in '-"!:'}
 
 _UNTERMINATED_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*$')
 
@@ -46,37 +41,39 @@ def _error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
-    """Scan text into parallel lists of token kind, token text and start
-    offset, ending with an EOF token at len(text)."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
-        kind = m.lastgroup
-        start = m.start(kind)
-        if kind == "BAD":
-            if _UNTERMINATED_STRING_RE.match(text, start):
-                raise _error(text, start, "unterminated string constant")
-            raise _error(text, start, f"unexpected character {text[start]!r}")
-        kinds.append(kind)
-        texts.append(m.group(kind))
-        starts.append(start)
+def _token_start(text: str, index: int) -> int:
+    """Offset of token `index` (len(text) for EOF), found by scanning
+    again: positions are needed only on the error path."""
+    tokens = _TOKEN_RE.finditer(text, 0, len(text.rstrip()))
+    m = next(itertools.islice(tokens, index, None), None)
+    return len(text) if m is None else m.start(1)
+
+
+def tokenize(text: str) -> tuple[list[str], list[str]]:
+    """Scan text into parallel lists of token kind and token text, ending
+    with an EOF token; raises ParseError at the first character that
+    starts no token."""
+    texts = _TOKEN_RE.findall(text, 0, len(text.rstrip()))
+    kinds = [_KIND[t[0]] if len(t) > 1 else _LONE_KIND.get(t, "BAD") for t in texts]
+    if "BAD" in kinds:
+        start = _token_start(text, kinds.index("BAD"))
+        if _UNTERMINATED_STRING_RE.match(text, start):
+            raise _error(text, start, "unterminated string constant")
+        raise _error(text, start, f"unexpected character {text[start]!r}")
     kinds.append("EOF")
     texts.append("")
-    starts.append(len(text))
-    return kinds, texts, starts
+    return kinds, texts
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.texts, self.starts = tokenize(text)
+        self.kinds, self.texts = tokenize(text)
         self.pos = 0
 
     def fail(self, message: str, pos: Optional[int] = None) -> NoReturn:
-        offset = self.starts[self.pos if pos is None else pos]
-        raise _error(self.text, offset, message)
+        start = _token_start(self.text, self.pos if pos is None else pos)
+        raise _error(self.text, start, message)
 
     def expect(self, kind: str, what: str) -> str:
         pos = self.pos

@@ -8,6 +8,7 @@ be checked against an independent path.
 from __future__ import annotations
 
 import itertools
+import re
 
 from p2pq import (
     Atom,
@@ -20,7 +21,7 @@ from p2pq import (
     equivalent,
     unfold,
 )
-from p2pq.errors import QueryError
+from p2pq.errors import ParseError, QueryError
 from p2pq.queries import atom_key, compare_constants, term_key
 
 
@@ -283,3 +284,53 @@ def reference_minicon(q: ConjunctiveQuery, views, owner: str):
             if equivalent(unfold(psi, views), q):
                 return psi
     return None
+
+
+# The query scanner as a named group per token kind, reporting each
+# token's kind, text and start offset as it goes.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    \s*(?:
+      (?P<ARROW>:-)
+    | (?P<OP><=|>=|!=|=|<|>)
+    | (?P<LPAR>\()
+    | (?P<RPAR>\))
+    | (?P<COMMA>,)
+    | (?P<INT>-?[0-9]+)
+    | (?P<STRING>"(?:[^"\\]|\\.)*")
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<BAD>\S)
+    )
+    """,
+    re.VERBOSE,
+)
+
+_REFERENCE_UNTERMINATED_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*$')
+
+
+def _reference_error(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def reference_tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Scan text into parallel lists of token kind, token text and start
+    offset, ending with an EOF token at len(text); raises ParseError at
+    the first character that starts no token."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text, 0, len(text.rstrip())):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "BAD":
+            if _REFERENCE_UNTERMINATED_STRING_RE.match(text, start):
+                raise _reference_error(text, start, "unterminated string constant")
+            raise _reference_error(text, start, f"unexpected character {text[start]!r}")
+        kinds.append(kind)
+        texts.append(m.group(kind))
+        starts.append(start)
+    kinds.append("EOF")
+    texts.append("")
+    starts.append(len(text))
+    return kinds, texts, starts

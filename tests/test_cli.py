@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from p2pq import answer, load_network, parse_query
-from p2pq.cli import answer_report_from_dict, main
+from p2pq.cli import _build_parser, answer_report_from_dict, main
 
 ROOT = Path(__file__).resolve().parent.parent
 TWO_PEER = ROOT / "demos" / "networks" / "two_peer.json"
@@ -77,6 +78,58 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# argv lists that argparse answers itself, with help or a usage error,
+# at the root or in a subcommand
+ARGPARSE_EXITS = [
+    [],
+    ["--help"],
+    ["bogus"],
+    ["--format", "json", "validate", NET],
+    ["answer"],
+    *([command, "--help"] for command in ("validate", "answer", "rewrite", "oracle-check")),
+    ["rewrite", NET, "--peer", "Pi"],
+    ["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y)", "--format", "xml"],
+    ["validate", NET, "extra"],
+]
+
+
+def _argparse_exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_EXITS, ids=lambda argv: " ".join(argv).replace(NET, "NET"))
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+    # main builds only the named command's parser; what it prints must
+    # not show it
+    full = _build_parser([])
+    assert all(command in full.format_help() for command in ("validate", "answer", "rewrite", "oracle-check"))
+    expected = _argparse_exit(full.parse_args, argv, capsys)
+    assert _argparse_exit(main, argv, capsys) == expected
+
+
+def test_a_named_command_builds_two_parsers(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["validate", NET]) == 0
+    assert built == ["p2pq", "p2pq validate"]
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["p2pq", "validate", NET])
+    assert main() == 0
+    assert capsys.readouterr().out == "network OK: 2 peers, 6 views, 4 mapping pairs\n"
 
 
 def test_answer_table_output_is_deterministic(capsys):

@@ -1,3 +1,4 @@
+import random
 import re
 import string
 import sys
@@ -18,6 +19,9 @@ from p2pq import (
     parse_atom,
     parse_query,
 )
+from p2pq.parsing import _token_start, tokenize
+
+from oracles import reference_tokenize
 
 
 def test_parse_simple_query():
@@ -122,6 +126,37 @@ def test_non_ascii_digits_are_not_integers():
     with pytest.raises(ParseError, match="unexpected character"):
         parse_query("q(x) :- R(x, \u0663)")
     assert parse_atom("R(-12)") == Atom("R", (Const(-12),))
+
+
+# Fragments for random scanner input: every token class, the lone
+# characters that start a token but are none ('-', '"', '!', ':'),
+# escapes, line breaks and tabs, a non-ASCII digit and other strays.
+SCAN_FRAGMENTS = [
+    "q", "R", "x", "_y1", "A_2", "(", ")", ",", ":-", "=", "!=", "<", "<=", ">", ">=",
+    "7", "-12", '"ab"', '"a\\"b"', '""', "-", '"', "!", ":", "\\", '\\"', "\\\\",
+    " ", "  ", "\n", "\t", "\u0661", "#", "\u00e9",
+]
+
+
+def test_tokenize_agrees_with_reference_scanner():
+    rng = random.Random(20261018)
+    raised = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(SCAN_FRAGMENTS) for _ in range(rng.randint(0, 12)))
+        try:
+            kinds, texts, starts = reference_tokenize(text)
+        except ParseError as expected:
+            raised += 1
+            for scan in (tokenize, parse_query, parse_atom):
+                with pytest.raises(ParseError) as err:
+                    scan(text)
+                assert (str(err.value), err.value.line, err.value.column) == (
+                    str(expected), expected.line, expected.column), text
+            continue
+        assert tokenize(text) == (kinds, texts), text
+        # the error path's re-scan finds every token's offset, EOF's too
+        assert [_token_start(text, i) for i in range(len(starts))] == starts, text
+    assert 0 < raised < 3000
 
 
 def test_parse_error_on_missing_arrow():
