@@ -46,7 +46,6 @@ from .oracle import (
     TheoremReport,
     check_theorem,
     expand,
-    normalize,
     weak_closure,
 )
 from .parsing import parse_atom, parse_query
@@ -111,7 +110,6 @@ __all__ = [
     "minicon",
     "neighbors",
     "new_agent",
-    "normalize",
     "parse_atom",
     "parse_query",
     "render_network",

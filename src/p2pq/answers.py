@@ -45,7 +45,8 @@ class TupleSet:
     rows: frozenset[Row] = frozenset()
 
     def __post_init__(self):
-        if not isinstance(self.arity, int) or self.arity < 0:
+        # bool is a subclass of int; reject it explicitly
+        if type(self.arity) is not int or self.arity < 0:
             raise QueryError(f"invalid arity {self.arity!r}")
         object.__setattr__(self, "rows", frozenset(tuple(r) for r in self.rows))
         for r in self.rows:
@@ -68,7 +69,7 @@ def join(r1: TupleSet, r2: TupleSet, shared: int = 0) -> TupleSet:
     relations gives the truth-value identities: join(r, {}) = {} and
     join(r, {()}) = r.
     """
-    if not isinstance(shared, int) or shared < 0 or shared > min(r1.arity, r2.arity):
+    if type(shared) is not int or shared < 0 or shared > min(r1.arity, r2.arity):
         raise QueryError(
             f"join annotation arity mismatch: {shared} shared columns "
             f"for arities {r1.arity} and {r2.arity}"

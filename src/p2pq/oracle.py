@@ -3,24 +3,30 @@
 Instead of queue pointers, this module grows a deduction tree by
 breadth-first search: a node is a (peer, query) pair, its children are
 the one-step rewritings toward each neighbor, and EMPTY children are
-kept as explicit leaves.  Memoizing visited (peer, canonical query)
-pairs makes the tree finite whenever the reachable query space is.
+kept as explicit leaves.  The closure is the memo of visited (peer,
+canonical query) pairs, grouped by peer; it makes the tree finite
+whenever the reachable query space is.
 
-check_theorem compares the normalized closure with the agent's fixpoint
-modulo equivalence: on every network where both terminate, the two must
-coincide peer by peer.
+check_theorem compares the closure with the agent's fixpoint peer by
+peer.  Both sides hold canonical forms, which are cores with a minimum
+labeling, so set equality is equivalence: on every network where both
+terminate, the two must coincide.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .agent import DEFAULT_STEP_CEILING, run
 from .errors import CeilingError, QueryError
 from .network import Network, neighbors
-from .queries import ConjunctiveQuery, canonicalize, equivalent
+from .queries import (
+    ConjunctiveQuery,
+    canonicalize,
+    equivalent,  # unused here; perfbench's tracer wraps oracle.equivalent
+)
 from .rewriting import rew
 
 __all__ = [
@@ -28,7 +34,6 @@ __all__ = [
     "DeductionNode",
     "TheoremReport",
     "expand",
-    "normalize",
     "weak_closure",
     "check_theorem",
 ]
@@ -78,20 +83,6 @@ def expand(net: Network, node: DeductionNode) -> list[DeductionNode]:
     ]
 
 
-def normalize(nodes: Iterable[DeductionNode]) -> dict[str, frozenset[ConjunctiveQuery]]:
-    """Group nodes by peer, dropping EMPTY ones and deduplicating up to
-    equivalence (first canonical representative wins)."""
-    grouped: dict[str, list[ConjunctiveQuery]] = {}
-    for node in nodes:
-        if node.is_empty:
-            continue
-        canon = canonicalize(node.query)
-        bucket = grouped.setdefault(node.peer, [])
-        if not any(equivalent(canon, old) for old in bucket):
-            bucket.append(canon)
-    return {peer: frozenset(bucket) for peer, bucket in grouped.items()}
-
-
 def weak_closure(
     net: Network,
     origin: str,
@@ -100,28 +91,25 @@ def weak_closure(
 ) -> dict[str, frozenset[ConjunctiveQuery]]:
     """Everything derivable from q at the origin peer: breadth-first
     expansion over rewritings, memoized on (peer, canonical query).  The
-    result maps every peer to its derived set (possibly empty)."""
+    memo is the result: it maps every peer, in declaration order, to its
+    derived set of canonical forms (possibly empty).  `rew` returns
+    canonical forms, so equal keys are exactly equivalent queries."""
     net.peer(origin).require_base(q)
     root = DeductionNode(origin, canonicalize(q))
-    visited: list[DeductionNode] = []
-    seen = {(root.peer, root.query)}
+    closure: dict[str, set[ConjunctiveQuery]] = {pid: set() for pid in net.peer_ids()}
+    closure[origin].add(root.query)
+    size = 1
     frontier = deque([root])
     while frontier:
-        if len(seen) > node_ceiling:
+        if size > node_ceiling:
             raise CeilingError(f"closure ceiling exceeded ({node_ceiling} nodes)")
-        node = frontier.popleft()
-        visited.append(node)
-        for child in expand(net, node):
-            if child.is_empty:
+        for child in expand(net, frontier.popleft()):
+            if child.is_empty or child.query in closure[child.peer]:
                 continue
-            key = (child.peer, child.query)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(child)
-    closure = normalize(visited)
-    for pid in net.peer_ids():
-        closure.setdefault(pid, frozenset())
-    return closure
+            closure[child.peer].add(child.query)
+            size += 1
+            frontier.append(child)
+    return {pid: frozenset(qs) for pid, qs in closure.items()}
 
 
 def check_theorem(
@@ -132,18 +120,15 @@ def check_theorem(
     node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> TheoremReport:
     """Certify that the agent's fixpoint equals the weak closure on this
-    input, peer by peer and modulo equivalence."""
+    input, peer by peer.  Both sides hold canonical forms, so the
+    differences are plain set differences, listed with peers in
+    declaration order and each peer's queries sorted by their text."""
     agent_sets = run(net, origin, q, step_ceiling=step_ceiling).per_peer_queries
     closure_sets = weak_closure(net, origin, q, node_ceiling=node_ceiling)
     only_agent: list[tuple[str, ConjunctiveQuery]] = []
     only_closure: list[tuple[str, ConjunctiveQuery]] = []
     for pid in net.peer_ids():
-        a = agent_sets.get(pid, frozenset())
-        c = closure_sets.get(pid, frozenset())
-        for qa in sorted(a, key=str):
-            if not any(equivalent(qa, qc) for qc in c):
-                only_agent.append((pid, qa))
-        for qc in sorted(c, key=str):
-            if not any(equivalent(qc, qa) for qa in a):
-                only_closure.append((pid, qc))
+        a, c = agent_sets[pid], closure_sets[pid]
+        only_agent.extend((pid, qa) for qa in sorted(a - c, key=str))
+        only_closure.extend((pid, qc) for qc in sorted(c - a, key=str))
     return TheoremReport(not only_agent and not only_closure, tuple(only_agent), tuple(only_closure))

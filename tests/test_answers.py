@@ -44,6 +44,8 @@ def test_tuple_set_validation():
         TupleSet(1, frozenset({(1.5,)}))
     with pytest.raises(QueryError):
         TupleSet(-1)
+    with pytest.raises(QueryError, match="invalid arity True"):
+        TupleSet(True, frozenset({(1,)}))
 
 
 def test_row_key_orders_ints_before_strings():
@@ -73,6 +75,8 @@ def test_join_rejects_bad_annotation():
         join(r1, r2, shared=2)
     with pytest.raises(QueryError, match="join annotation arity mismatch"):
         join(r1, r2, shared=-1)
+    with pytest.raises(QueryError, match="join annotation arity mismatch: True shared"):
+        join(r1, r2, shared=True)
 
 
 def test_join_identities_on_random_relations():

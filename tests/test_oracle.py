@@ -1,28 +1,31 @@
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+import p2pq.oracle
 from p2pq import (
+    AgentResult,
     CeilingError,
     DeductionNode,
     QueryError,
     TheoremReport,
     canonicalize,
     check_theorem,
-    equivalent,
     evaluate,
     expand,
     load_network,
     new_agent,
-    normalize,
     parse_query,
     rew,
     run,
     weak_closure,
 )
+from p2pq.cli import main
 from generators import rand_network, rand_peer_query
+from oracles import brute_force_contains
 
 TWO_PEER = Path(__file__).resolve().parent.parent / "demos" / "networks" / "two_peer.json"
 
@@ -71,17 +74,10 @@ def test_expand_isolated_peer_has_no_children():
     assert expand(net, DeductionNode("P1", canonicalize(parse_query("q(x) :- R(x)")))) == []
 
 
-def test_normalize_drops_empty_and_duplicates():
-    q1 = canonicalize(parse_query("q(x) :- R(x, y)"))
-    q2 = canonicalize(parse_query("q(a) :- R(a, b), R(a, c)"))  # equivalent to q1
-    nodes = [
-        DeductionNode("P", q1),
-        DeductionNode("P", q2),
-        DeductionNode("P", None),
-        DeductionNode("Q", q1),
-    ]
-    sets = normalize(nodes)
-    assert sets == {"P": frozenset({q1}), "Q": frozenset({q1})}
+def test_weak_closure_drops_empty_children():
+    # the only child is EMPTY: the origin keeps q, the neighbor gets nothing
+    q = parse_query("q(x) :- E(x)")
+    assert weak_closure(two_peer(), "Pi", q) == {"Pi": frozenset({canonicalize(q)}), "Pj": frozenset()}
 
 
 def test_weak_closure_two_peer():
@@ -208,16 +204,57 @@ def test_check_theorem_on_random_networks():
         assert report.agrees, f"\n{report}\nnetwork: {net}\nquery: {q}"
 
 
-def test_closure_matches_agent_modulo_equivalence():
+def test_closure_equals_agent_fixpoint():
     rng = random.Random(2718)
     for _ in range(10):
         net = rand_network(rng, 2, 4)
         pid = net.peers[0].id
         q = rand_peer_query(rng, net, pid)
-        agent_sets = run(net, pid, q).per_peer_queries
-        closure = weak_closure(net, pid, q)
-        for peer_id in agent_sets:
-            a, c = agent_sets[peer_id], closure[peer_id]
-            assert len(a) == len(c)
-            for qa in a:
-                assert any(equivalent(qa, qc) for qc in c)
+        assert run(net, pid, q).per_peer_queries == weak_closure(net, pid, q)
+
+
+def test_closure_holds_pairwise_inequivalent_canonical_forms():
+    # check_theorem compares by equality; that is sound only if each set
+    # holds fixed points of canonicalize, no two of them equivalent
+    rng = random.Random(1618)
+    for _ in range(200):
+        net = rand_network(rng, 2, 4)
+        pid = net.peers[0].id
+        closure = weak_closure(net, pid, rand_peer_query(rng, net, pid))
+        for peer_id, queries in closure.items():
+            for x in queries:
+                assert canonicalize(x) == x
+            for x, y in itertools.combinations(sorted(queries, key=str), 2):
+                assert not (brute_force_contains(x, y) and brute_force_contains(y, x)), f"{peer_id}: {x} ~ {y}"
+
+
+def test_check_theorem_reports_each_difference_in_order(monkeypatch, capsys):
+    net = two_peer()
+    closure = weak_closure(net, "Pi", Q_I)
+    derived = canonicalize(parse_query("q(x) :- A(x, y), B(y), E(y)"))
+    # foreign queries, listed out of text order
+    texts = ["q(x) :- E(x)", "q(x) :- B(x)", "q(x) :- A(y, x), E(y)", "q(x) :- B(x), E(x)", "q(x) :- A(x, x)"]
+    foreign = [canonicalize(parse_query(t)) for t in texts]
+    foreign_pj = canonicalize(parse_query("q(x) :- D(x)"))
+    assert derived in closure["Pi"] and not set(foreign) & closure["Pi"]
+    agent_sets = {"Pi": (closure["Pi"] - {derived}) | set(foreign), "Pj": closure["Pj"] | {foreign_pj}}
+    monkeypatch.setattr(p2pq.oracle, "run", lambda *args, **kwargs: AgentResult(agent_sets))
+
+    report = check_theorem(net, "Pi", Q_I)
+    assert not report.agrees
+    # peers in declaration order, then each peer's queries sorted by text
+    in_text_order = [foreign[i] for i in (4, 2, 1, 3, 0)]
+    assert report.only_in_agent == tuple(("Pi", f) for f in in_text_order) + (("Pj", foreign_pj),)
+    assert report.only_in_closure == (("Pi", derived),)
+
+    assert main(["oracle-check", str(TWO_PEER), "--peer", "Pi", "--query", str(Q_I)]) == 1
+    assert capsys.readouterr().out == (
+        "agent fixpoint and weak closure differ\n"
+        "  only agent has   Pi: q(v0) :- A(v0, v0)\n"
+        "  only agent has   Pi: q(v0) :- A(v1, v0), E(v1)\n"
+        "  only agent has   Pi: q(v0) :- B(v0)\n"
+        "  only agent has   Pi: q(v0) :- B(v0), E(v0)\n"
+        "  only agent has   Pi: q(v0) :- E(v0)\n"
+        "  only agent has   Pj: q(v0) :- D(v0)\n"
+        "  only closure has Pi: q(v0) :- A(v0, v1), B(v1), E(v1)\n"
+    )
