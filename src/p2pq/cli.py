@@ -11,9 +11,12 @@ is not UTF-8, malformed JSON, bad query text).  Output is deterministic:
 equal inputs produce byte-identical output.  The environment variable
 P2PQ_STEP_CEILING overrides the agent's fixpoint ceiling.
 
-Each call builds its parser from the `_COMMANDS` table: only the
-subcommand that argv names, or all four when it names none, so that
-root-level help and usage errors read as they do with all registered.
+Each call builds its parsers from the `_COMMANDS` table.  When argv
+names a command, `main` builds only that command's parser, the one the
+full parser would hand the rest of argv to.  The root parser, with all
+four commands, is built only when argv names no command, or to print
+the root's own error for unrecognized arguments; so help and usage
+errors read as they do with all four registered.
 """
 
 from __future__ import annotations
@@ -217,30 +220,45 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+def _command_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, handler, options = _COMMANDS[name]
+    parser.add_argument("file")
+    for flag, kwargs in options.items():
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2pq",
         description="Query answering over peer-to-peer view mappings.",
     )
-    # the metavar keeps the root's usage line, shown for an unrecognized
-    # argument, listing all four commands when only one is registered
-    named = argv[:1] if argv and argv[0] in _COMMANDS else None
-    metavar = "{" + ",".join(_COMMANDS) + "}" if named else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in named or _COMMANDS:
-        help_text, handler, options = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file")
-        for flag, kwargs in options.items():
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv's Namespace, as `_build_parser().parse_args(argv)` gives it.
+    The root hands everything after a command name to that command's
+    parser, so a named command needs no other parser unless it leaves
+    arguments over, which the root reports."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = _command_arguments(argparse.ArgumentParser(prog=f"p2pq {name}"), name)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = name
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, NetworkSyntaxError) as e:

@@ -231,6 +231,17 @@ def neighbors(net: Network, pid: str) -> tuple[str, ...]:
 # loading and rendering
 
 
+# Location strings are formatted only on the error paths: loading is
+# most of a short request, and a document that loads formats none.
+
+_DOCUMENT_KEYS = frozenset({"peers", "mappings"})
+_PEER_KEYS = frozenset({"id", "schema", "views", "facts"})
+_SIGNATURE_KEYS = frozenset({"name", "arity"})
+_VIEW_KEYS = frozenset({"name", "def"})
+_MAPPING_KEYS = ("from_peer", "from_view", "to_peer", "to_view")
+_MAPPING_KEY_SET = frozenset(_MAPPING_KEYS)
+
+
 def _require_dict(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{where}: expected an object")
@@ -243,55 +254,70 @@ def _require_list(value, where: str) -> list:
     return value
 
 
-def _require_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{where}: expected a string")
-    return value
+def _unknown_key(d: dict, allowed: frozenset, where: str) -> ValidationError:
+    return ValidationError(f"{where}: unknown key {sorted(set(d) - allowed)[0]!r}")
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown key {sorted(unknown)[0]!r}")
-
-
-def _load_peer(entry, index: int) -> Peer:
-    where = f"peers[{index}]"
-    d = _require_dict(entry, where)
-    _reject_unknown(d, {"id", "schema", "views", "facts"}, where)
+def _load_peer(d, index: int) -> Peer:
+    if not isinstance(d, dict):
+        raise ValidationError(f"peers[{index}]: expected an object")
+    if not _PEER_KEYS.issuperset(d):
+        raise _unknown_key(d, _PEER_KEYS, f"peers[{index}]")
     if "id" not in d:
-        raise ValidationError(f"{where}: missing 'id'")
-    pid = _require_str(d["id"], f"{where}.id")
-    where = f"peer {pid!r}"
+        raise ValidationError(f"peers[{index}]: missing 'id'")
+    pid = d["id"]
+    if not isinstance(pid, str):
+        raise ValidationError(f"peers[{index}].id: expected a string")
 
     schema = []
-    for k, sig in enumerate(_require_list(d.get("schema", []), f"{where}.schema")):
-        s = _require_dict(sig, f"{where}.schema[{k}]")
-        _reject_unknown(s, {"name", "arity"}, f"{where}.schema[{k}]")
+    entries = d.get("schema", [])
+    if not isinstance(entries, list):
+        raise ValidationError(f"peer {pid!r}.schema: expected an array")
+    for k, s in enumerate(entries):
+        if not isinstance(s, dict):
+            raise ValidationError(f"peer {pid!r}.schema[{k}]: expected an object")
+        if not _SIGNATURE_KEYS.issuperset(s):
+            raise _unknown_key(s, _SIGNATURE_KEYS, f"peer {pid!r}.schema[{k}]")
         if "name" not in s or "arity" not in s:
-            raise ValidationError(f"{where}.schema[{k}]: needs 'name' and 'arity'")
+            raise ValidationError(f"peer {pid!r}.schema[{k}]: needs 'name' and 'arity'")
         schema.append(RelationSignature(s["name"], s["arity"]))
 
     views = []
-    for k, entry_v in enumerate(_require_list(d.get("views", []), f"{where}.views")):
-        v = _require_dict(entry_v, f"{where}.views[{k}]")
-        _reject_unknown(v, {"name", "def"}, f"{where}.views[{k}]")
+    entries = d.get("views", [])
+    if not isinstance(entries, list):
+        raise ValidationError(f"peer {pid!r}.views: expected an array")
+    for k, v in enumerate(entries):
+        if not isinstance(v, dict):
+            raise ValidationError(f"peer {pid!r}.views[{k}]: expected an object")
+        if not _VIEW_KEYS.issuperset(v):
+            raise _unknown_key(v, _VIEW_KEYS, f"peer {pid!r}.views[{k}]")
         if "name" not in v or "def" not in v:
-            raise ValidationError(f"{where}.views[{k}]: needs 'name' and 'def'")
-        vname = _require_str(v["name"], f"{where}.views[{k}].name")
-        text = _require_str(v["def"], f"{where}.views[{k}].def")
+            raise ValidationError(f"peer {pid!r}.views[{k}]: needs 'name' and 'def'")
+        vname, text = v["name"], v["def"]
+        if not isinstance(vname, str):
+            raise ValidationError(f"peer {pid!r}.views[{k}].name: expected a string")
+        if not isinstance(text, str):
+            raise ValidationError(f"peer {pid!r}.views[{k}].def: expected a string")
         try:
             definition = parse_query(text)
-            views.append(ViewDefinition(vname, definition))
         except P2pqError as e:
-            raise ValidationError(f"{where}, view {vname!r}: {e}") from e
+            raise ValidationError(f"peer {pid!r}, view {vname!r}: {e}") from e
+        try:
+            views.append(ViewDefinition(vname, definition))
+        except ValidationError as e:  # its message names the view
+            raise ValidationError(f"peer {pid!r}, {e}") from e
 
     facts = []
-    for k, text in enumerate(_require_list(d.get("facts", []), f"{where}.facts")):
+    entries = d.get("facts", [])
+    if not isinstance(entries, list):
+        raise ValidationError(f"peer {pid!r}.facts: expected an array")
+    for k, text in enumerate(entries):
+        if not isinstance(text, str):
+            raise ValidationError(f"peer {pid!r}.facts[{k}]: expected a string")
         try:
-            facts.append(parse_atom(_require_str(text, f"{where}.facts[{k}]")))
+            facts.append(parse_atom(text))
         except P2pqError as e:
-            raise ValidationError(f"{where}, facts[{k}]: {e}") from e
+            raise ValidationError(f"peer {pid!r}, facts[{k}]: {e}") from e
 
     try:
         return Peer(pid, tuple(schema), tuple(views), frozenset(facts))
@@ -313,21 +339,24 @@ def load_network(text: str) -> Network:
         raise NetworkSyntaxError(f"malformed JSON: {e}") from e
 
     d = _require_dict(doc, "document")
-    _reject_unknown(d, {"peers", "mappings"}, "document")
+    if not _DOCUMENT_KEYS.issuperset(d):
+        raise _unknown_key(d, _DOCUMENT_KEYS, "document")
     peers = [
         _load_peer(entry, i)
         for i, entry in enumerate(_require_list(d.get("peers", []), "peers"))
     ]
 
     interfaces: dict[tuple[str, str], list[MappingPair]] = {}
-    for k, entry in enumerate(_require_list(d.get("mappings", []), "mappings")):
-        where = f"mappings[{k}]"
-        m = _require_dict(entry, where)
-        _reject_unknown(m, {"from_peer", "from_view", "to_peer", "to_view"}, where)
-        for key in ("from_peer", "from_view", "to_peer", "to_view"):
+    for k, m in enumerate(_require_list(d.get("mappings", []), "mappings")):
+        if not isinstance(m, dict):
+            raise ValidationError(f"mappings[{k}]: expected an object")
+        if not _MAPPING_KEY_SET.issuperset(m):
+            raise _unknown_key(m, _MAPPING_KEY_SET, f"mappings[{k}]")
+        for key in _MAPPING_KEYS:
             if key not in m:
-                raise ValidationError(f"{where}: missing {key!r}")
-            _require_str(m[key], f"{where}.{key}")
+                raise ValidationError(f"mappings[{k}]: missing {key!r}")
+            if not isinstance(m[key], str):
+                raise ValidationError(f"mappings[{k}].{key}: expected a string")
         pair = MappingPair(m["from_view"], m["to_view"])
         interfaces.setdefault((m["from_peer"], m["to_peer"]), []).append(pair)
 

@@ -70,6 +70,9 @@ class _Parser:
         self.text = text
         self.kinds, self.texts = tokenize(text)
         self.pos = 0
+        # token text -> its term, for this parse only: a variable or
+        # constant that recurs is built and checked once
+        self.memo: dict[str, Term] = {}
 
     def fail(self, message: str, pos: Optional[int] = None) -> NoReturn:
         start = _token_start(self.text, self.pos if pos is None else pos)
@@ -85,70 +88,85 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------
 
-    def term(self) -> Term:
-        pos = self.pos
+    def new_term(self, pos: int) -> Term:
+        """Build the term that token `pos` spells and memoize it; raise
+        ParseError if it spells none."""
         kind, text = self.kinds[pos], self.texts[pos]
         if kind == "INT":
             try:
                 term = Const(int(text))
             except ValueError:  # past sys.get_int_max_str_digits()
-                self.fail(f"integer constant too long ({len(text.lstrip('-'))} digits)")
+                self.fail(f"integer constant too long ({len(text.lstrip('-'))} digits)", pos)
         elif kind == "STRING":
             term = Const(text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
         elif kind != "IDENT":
-            self.fail("expected a term (variable, integer, or string)")
+            self.fail("expected a term (variable, integer, or string)", pos)
         elif text[0].islower() or text[0] == "_":
             term = Var(text)
         else:
             self.fail(
                 f"{text!r} is not a term: variables are lowercase, "
-                "string constants are double-quoted"
+                "string constants are double-quoted",
+                pos,
             )
+        self.memo[text] = term
+        return term
+
+    def term(self) -> Term:
+        pos = self.pos
+        term = self.memo.get(self.texts[pos])
+        if term is None:
+            term = self.new_term(pos)
         self.pos = pos + 1
         return term
 
-    def terms(self, item) -> list:
-        """Parse ``'(' [item (',' item)*] ')'``."""
+    def args(self, head: bool = False) -> tuple[Term, ...]:
+        """Parse ``'(' [term (',' term)*] ')'`` in one loop; in a head,
+        every term must be a variable."""
         self.expect("LPAR", "'('")
+        kinds, texts, memo = self.kinds, self.texts, self.memo
+        pos = self.pos
         items = []
-        if self.kinds[self.pos] != "RPAR":
-            items.append(item())
-            while self.kinds[self.pos] == "COMMA":
-                self.pos += 1
-                items.append(item())
+        if kinds[pos] != "RPAR":
+            while True:
+                term = memo.get(texts[pos])
+                if term is None:
+                    term = self.new_term(pos)
+                if head and not isinstance(term, Var):
+                    self.fail("head positions must be variables", pos)
+                items.append(term)
+                pos += 1
+                if kinds[pos] != "COMMA":
+                    break
+                pos += 1
+        self.pos = pos
         self.expect("RPAR", "')'")
-        return items
+        return tuple(items)
 
     def atom(self) -> Atom:
         name = self.expect("IDENT", "a predicate name")
-        return Atom(name, tuple(self.terms(self.term)))
+        return Atom(name, self.args())
 
     def query(self) -> ConjunctiveQuery:
         name = self.expect("IDENT", "a query name")
-        head = tuple(self.terms(self.head_var))
+        head = self.args(head=True)
         self.expect("ARROW", "':-'")
+        kinds = self.kinds
         atoms: list[Atom] = []
         builtins: list[BuiltinAtom] = []
         while True:
             pos = self.pos
-            if self.kinds[pos] == "IDENT" and self.kinds[pos + 1] == "LPAR":
+            if kinds[pos] == "IDENT" and kinds[pos + 1] == "LPAR":
                 atoms.append(self.atom())
             else:
                 lhs = self.term()
                 op = self.expect("OP", "a comparison operator")
                 builtins.append(BuiltinAtom(op, lhs, self.term()))
-            if self.kinds[self.pos] != "COMMA":
+            if kinds[self.pos] != "COMMA":
                 break
             self.pos += 1
         self.expect("EOF", "end of query")
         return ConjunctiveQuery(name, head, tuple(atoms), tuple(builtins))
-
-    def head_var(self) -> Var:
-        pos = self.pos
-        t = self.term()
-        if not isinstance(t, Var):
-            self.fail("head positions must be variables", pos)
-        return t
 
 
 def parse_query(text: str) -> ConjunctiveQuery:

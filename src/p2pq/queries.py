@@ -95,12 +95,6 @@ def term_key(t: Term) -> tuple:
     return (1, 1, t.value)
 
 
-def _check_term(t: Term) -> Term:
-    if not isinstance(t, (Var, Const)):
-        raise QueryError(f"not a term: {t!r}")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # atoms and constraints
 
@@ -115,7 +109,13 @@ class Atom:
     def __post_init__(self):
         if not isinstance(self.predicate, str) or not self.predicate.isidentifier():
             raise QueryError(f"invalid predicate name {self.predicate!r}")
-        object.__setattr__(self, "args", tuple(_check_term(a) for a in self.args))
+        args = self.args
+        if type(args) is not tuple:
+            args = tuple(args)
+            object.__setattr__(self, "args", args)
+        for a in args:
+            if not isinstance(a, (Var, Const)):
+                raise QueryError(f"not a term: {a!r}")
 
     def variables(self) -> Iterator[Var]:
         for a in self.args:
@@ -177,9 +177,10 @@ class BuiltinAtom:
     def __post_init__(self):
         if self.op not in _COMPARISON_OPS:
             raise QueryError(f"unknown comparison operator {self.op!r}")
-        _check_term(self.lhs)
-        _check_term(self.rhs)
         op, lhs, rhs = self.op, self.lhs, self.rhs
+        for t in (lhs, rhs):
+            if not isinstance(t, (Var, Const)):
+                raise QueryError(f"not a term: {t!r}")
         if op in _FLIP:
             op, lhs, rhs = _FLIP[op], rhs, lhs
         elif op in _SYMMETRIC and term_key(rhs) < term_key(lhs):
@@ -233,29 +234,34 @@ class ConjunctiveQuery:
     builtins: tuple[BuiltinAtom, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name.isidentifier():
-            raise QueryError(f"invalid query name {self.name!r}")
-        object.__setattr__(self, "head_vars", tuple(self.head_vars))
-        object.__setattr__(self, "body", tuple(self.body))
-        object.__setattr__(self, "builtins", tuple(self.builtins))
-        for v in self.head_vars:
+        name = self.name
+        if not isinstance(name, str) or not name.isidentifier():
+            raise QueryError(f"invalid query name {name!r}")
+        for attr in ("head_vars", "body", "builtins"):
+            value = getattr(self, attr)
+            if type(value) is not tuple:
+                object.__setattr__(self, attr, tuple(value))
+        head, body, builtins = self.head_vars, self.body, self.builtins
+        for v in head:
             if not isinstance(v, Var):
                 raise QueryError(f"head collapse: head position {v!r} is not a variable")
-        if len(set(self.head_vars)) != len(self.head_vars):
-            raise QueryError(f"head collapse: duplicate head variable in {self.name}({', '.join(map(str, self.head_vars))})")
-        if not self.body:
-            raise QueryError(f"query {self.name!r} has an empty body")
-        for a in self.body:
+        if len(set(head)) != len(head):
+            raise QueryError(f"head collapse: duplicate head variable in {name}({', '.join(map(str, head))})")
+        if not body:
+            raise QueryError(f"query {name!r} has an empty body")
+        # the body's terms; a constant in it never equals a variable
+        bound = set()
+        for a in body:
             if not isinstance(a, Atom):
-                raise QueryError(f"not an atom in body of {self.name!r}: {a!r}")
-        for b in self.builtins:
+                raise QueryError(f"not an atom in body of {name!r}: {a!r}")
+            bound.update(a.args)
+        for b in builtins:
             if not isinstance(b, BuiltinAtom):
-                raise QueryError(f"not a constraint in {self.name!r}: {b!r}")
-        bound = {v for a in self.body for v in a.variables()}
-        for v in self.head_vars:
+                raise QueryError(f"not a constraint in {name!r}: {b!r}")
+        for v in head:
             if v not in bound:
-                raise QueryError(f"unsafe query {self.name!r}: head variable {v} not bound in body")
-        for b in self.builtins:
+                raise QueryError(f"unsafe query {name!r}: head variable {v} not bound in body")
+        for b in builtins:
             for v in b.variables():
                 if v not in bound:
                     raise QueryError(f"unsafe constraint {b}: variable {v} not bound in body")

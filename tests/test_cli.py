@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from p2pq import answer, load_network, parse_query
-from p2pq.cli import _build_parser, answer_report_from_dict, main
+from p2pq.cli import _build_parser, _parse_args, answer_report_from_dict, cmd_answer, main
 
 ROOT = Path(__file__).resolve().parent.parent
 TWO_PEER = ROOT / "demos" / "networks" / "two_peer.json"
@@ -92,6 +92,9 @@ ARGPARSE_EXITS = [
     ["rewrite", NET, "--peer", "Pi"],
     ["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y)", "--format", "xml"],
     ["validate", NET, "extra"],
+    ["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y)", "--bogus"],
+    ["rewrite", NET, "--peer", "Pi", "--target"],
+    ["oracle-check", NET, "--", "--peer"],
 ]
 
 
@@ -106,13 +109,29 @@ def _argparse_exit(parse, argv, capsys):
 def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
     # main builds only the named command's parser; what it prints must
     # not show it
-    full = _build_parser([])
+    full = _build_parser()
     assert all(command in full.format_help() for command in ("validate", "answer", "rewrite", "oracle-check"))
     expected = _argparse_exit(full.parse_args, argv, capsys)
     assert _argparse_exit(main, argv, capsys) == expected
 
 
-def test_a_named_command_builds_two_parsers(monkeypatch, capsys):
+# accepted spellings of a named command's arguments
+ACCEPTED = [
+    ["answer", NET, "--peer=Pi", "--query", "q(x) :- A(x, y)"],
+    ["answer", NET, "--pe", "Pi", "--query", "q(x) :- A(x, y)"],
+    ["answer", "--trace", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y)"],
+    ["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y)", "--format=json"],
+]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=lambda argv: " ".join(argv).replace(NET, "NET"))
+def test_a_named_command_parses_as_the_full_parser_does(argv):
+    args = _parse_args(argv)
+    assert args == _build_parser().parse_args(argv)
+    assert (args.command, args.func) == ("answer", cmd_answer)
+
+
+def test_a_named_command_builds_one_parser(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -122,7 +141,7 @@ def test_a_named_command_builds_two_parsers(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["validate", NET]) == 0
-    assert built == ["p2pq", "p2pq validate"]
+    assert built == ["p2pq validate"]
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):

@@ -102,6 +102,10 @@ def test_load_rejects_fact_schema_mismatch():
          "peer 'P1', view 'v': line 1, column 14: unexpected character '%'"),
         (["R(1, 2)"], "v(x) :-\n R(x, y",
          "peer 'P1', view 'v': line 2, column 8: expected ')', got 'end of input'"),
+        # each location is named once
+        (["R(1, 2)", 7], "v(x) :- R(x, y)", "peer 'P1'.facts[1]: expected a string"),
+        (["R(1, 2)"], "w(x) :- R(x, y)", "peer 'P1', view 'v': definition head is named 'w'"),
+        (["R(1, 2)"], "v(x) :- R(x, y), x < 3", "peer 'P1', view 'v': views must be constraint-free"),
         pytest.param(
             ["R(1, " + "2" * 5000 + ")"], "v(x) :- R(x, y)",
             "peer 'P1', facts[0]: line 1, column 6: integer constant too long (5000 digits)",

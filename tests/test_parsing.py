@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import string
@@ -16,6 +17,7 @@ from p2pq import (
     Const,
     ParseError,
     Var,
+    load_network,
     parse_atom,
     parse_query,
 )
@@ -250,6 +252,72 @@ def test_query_text_round_trip_property(q):
 @settings(max_examples=200, deadline=None)
 def test_ground_atom_text_round_trip_property(a):
     assert parse_atom(str(a)) == a
+
+
+# Token texts that the parser's per-call term memo must keep apart or
+# share correctly: -0 and 0 spell one constant, "1" and 1 two; "rel" is
+# a string, a predicate and a variable; strings carry escapes.
+MEMO_TOKENS = ["rel", "x", "_y", "0", "-0", "1", '"1"', '"0"', '"rel"', '"a\\"b"', '"\\\\"', '"\\\\\\""']
+MEMO_CONSTANTS = [t for t in MEMO_TOKENS if not t.isidentifier()]
+MEMO_ARITIES = {"rel": 2, "x": 1, "R": 3}
+
+
+def _reference_term(token: str):
+    # JSON escapes '"' and '\\' as the query grammar does
+    if token.startswith('"'):
+        return Const(json.loads(token))
+    return Var(token) if token.isidentifier() else Const(int(token))
+
+
+@st.composite
+def memo_queries(draw):
+    """(text, the query it spells, built without the parser)."""
+    body = [
+        (predicate, draw(st.lists(st.sampled_from(MEMO_TOKENS), min_size=MEMO_ARITIES[predicate],
+                                  max_size=MEMO_ARITIES[predicate])))
+        for predicate in draw(st.lists(st.sampled_from(sorted(MEMO_ARITIES)), min_size=1, max_size=4))
+    ]
+    bound = sorted({t for _, args in body for t in args if t.isidentifier()})
+    head = draw(st.lists(st.sampled_from(bound), unique=True) if bound else st.just([]))
+    operand = st.sampled_from(bound + MEMO_CONSTANTS)
+    builtins = draw(st.lists(st.tuples(operand, st.sampled_from(["=", "!=", "<", ">="]), operand), max_size=2))
+    name = draw(st.sampled_from(["q", "rel", "x"]))
+    parts = [f"{p}({', '.join(args)})" for p, args in body] + [" ".join(b) for b in builtins]
+    text = f"{name}({', '.join(head)}) :- {', '.join(parts)}"
+    expected = ConjunctiveQuery(
+        name,
+        tuple(Var(v) for v in head),
+        tuple(Atom(p, tuple(_reference_term(t) for t in args)) for p, args in body),
+        tuple(BuiltinAtom(op, _reference_term(lhs), _reference_term(rhs)) for lhs, op, rhs in builtins),
+    )
+    return text, expected
+
+
+@given(memo_queries())
+@settings(max_examples=200, deadline=None)
+def test_repeated_term_texts_parse_to_their_own_terms(case):
+    text, expected = case
+    q = parse_query(text)
+    assert q == expected
+    assert parse_query(str(q)) == q
+
+
+MEMO_GROUND_ATOMS = st.sampled_from(sorted(MEMO_ARITIES)).flatmap(
+    lambda p: st.builds(Atom, st.just(p), st.lists(
+        st.sampled_from(MEMO_CONSTANTS).map(_reference_term) | CONSTS,
+        min_size=MEMO_ARITIES[p], max_size=MEMO_ARITIES[p]).map(tuple))
+)
+
+
+@given(st.lists(MEMO_GROUND_ATOMS, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_facts_written_by_str_load_to_those_atoms(atoms):
+    doc = {"peers": [{
+        "id": "P",
+        "schema": [{"name": p, "arity": n} for p, n in MEMO_ARITIES.items()],
+        "facts": [str(a) for a in atoms],
+    }]}
+    assert load_network(json.dumps(doc)).peer("P").facts == frozenset(atoms)
 
 
 def test_readme_query_syntax_parses():
