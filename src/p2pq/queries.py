@@ -515,6 +515,81 @@ def _core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     return q
 
 
+def _place(member, label):
+    # a cell member takes its cell's next free position
+    cell, variables = member
+    lab = cell[0] + cell[2] * cell[1]
+    cell[2] += 1
+    for t in variables:
+        label[t] = lab
+        lab += 1
+
+
+def _unplace(member, label):
+    member[0][2] -= 1
+    for t in member[1]:
+        label[t] = -2
+
+
+def _speculative_parts(args, label, slot, c, fresh, member_of):
+    """The key parts of an atom that holds an undecided variable: each
+    distinct undecided member, in argument order, takes its cell's next
+    free position, and fresh variables take c, c+1, ... and are added
+    to `fresh`.  The placements are undone before returning."""
+    parts = []
+    placed = []
+    for t in args:
+        if type(t) is int:
+            lab = label[t]
+            if lab < 0:
+                if lab == -1:
+                    lab = label[t] = c
+                    c += 1
+                    fresh.append(t)
+                else:
+                    _place(member_of[t], label)
+                    placed.append(member_of[t])
+                    lab = label[t]
+            parts.append(slot[lab])
+        else:
+            parts.append(t)
+    for member in placed:
+        _unplace(member, label)
+    return parts
+
+
+def _cell_vars(ties, group, atoms, label, used, constrained):
+    """Each tied atom's unlabelled variables, by first occurrence, when
+    the tied atoms form a cell; else None, given at the first variable
+    that stops them."""
+    holder = {}
+    out = []
+    for i in ties:
+        mine = []
+        for t in atoms[i]:
+            if type(t) is int:
+                lab = label[t]
+                if lab == -1:
+                    if t not in holder:
+                        if t in constrained:
+                            return None
+                        holder[t] = i
+                        mine.append(t)
+                    elif holder[t] != i:
+                        return None
+                elif lab < -1:
+                    return None
+        if not mine:
+            return None
+        out.append(mine)
+    for j in group:
+        if not used[j]:
+            for t in atoms[j]:
+                if type(t) is int and holder.get(t, j) != j:
+                    return None
+    return out
+
+
 def _canonical_labeling(head_vars, body, builtins):
     """Minimum-key relabeling of variables to v0, v1, ...
 
@@ -523,15 +598,34 @@ def _canonical_labeling(head_vars, body, builtins):
     only the atoms achieving the minimal speculative key are expanded,
     tied atoms in body order, and a branch whose keys so far exceed the
     best leaf's is cut.  Leaves with equal atom keys are ranked by their
-    sorted constraint keys.  The chosen labeling is a true minimum, so
-    isomorphic inputs produce identical output.  The search still
-    branches on every tie: k disjoint components that differ only in
-    their constants are tried in all k! orders.
+    sorted constraint keys, the operands of ``=`` and ``!=`` ordered by
+    their new labels.  The chosen labeling is a true minimum, so
+    isomorphic inputs produce identical output.
+
+    Tied atoms that are interchangeable are emitted as one cell, with
+    their order left open.  They form a cell when no tied atom holds an
+    undecided variable, their unlabelled variables are pairwise
+    disjoint, no other unused atom of their predicate holds one of
+    those variables, and no constraint does.  Those tests give up at
+    the first variable that fails them.  The cell fills one depth per
+    member, with the tie key's fresh labels shifted by f per depth, f
+    being the fresh variables per member; the member at position p
+    gets the labels base + p*f + offset.  Its variables stay undecided
+    until an atom holding one is emitted.  That atom's key places each
+    distinct undecided member, in argument order, at its cell's next
+    free position, the least key any order of the cell could give it,
+    and emitting the atom fixes those positions.  At a leaf, members
+    never placed take the open positions in member order.  So the k!
+    orders of k disjoint stars are decided where a later atom tells
+    the stars apart, without branching.  What still branches is a tie
+    whose atoms hold undecided variables or share one: components that
+    tie again at a later level, such as equal ``S`` constants told
+    apart only by a third predicate, are tried in every order.
 
     Variables are numbered once as ints, and their labels live in one
     list, set on descent and undone on backtrack.  The search keeps an
-    explicit stack with one key and one list of tied atoms per level, so
-    long bodies do not recurse.
+    explicit stack with one entry per level, a cell being one level,
+    so long bodies do not recurse.
     """
     # keyed on variable names, whose hashing is native
     ids = {v.name: i for i, v in enumerate(head_vars)}
@@ -547,22 +641,33 @@ def _canonical_labeling(head_vars, body, builtins):
     constraints = [
         (b.op, *[ids[t.name] if isinstance(t, Var) else term_key(t) for t in (b.lhs, b.rhs)]) for b in builtins
     ]
+    constrained = {t for c in constraints for t in c[1:] if type(t) is int}
     n = len(body)
     used = [False] * n
     slot = [(0, 0, i) for i in range(len(ids))]  # key part of label i
+    # label i, or -1 while unlabelled, or -2 while undecided: a variable
+    # of a cell member whose position is still open
     label = [-1] * len(ids)
     label[: len(head_vars)] = range(len(head_vars))
+    # an undecided variable's member: its cell [base, f, next free
+    # position, each member's variables] and its own variables
+    member_of = [None] * len(ids)
     best = None  # keys of the best leaf, by depth
     best_constraints = best_label = None
-    # one entry per level: the key its tied atoms share, the tied atoms,
-    # the next one to try, the labels the one tried last set, the counter
-    # on entry, and whether the keys above are already below best's
-    keys, tied_at, next_at, fresh_at, counter_at, below_at = [], [], [], [], [], []
+    keys = []  # the key at each depth of the current path
+    cells = []  # the cells on the stack
+    # one entry per level: its first depth, its tied atoms, the next one
+    # to try, the counter on entry, whether the keys above are already
+    # below best's, the variables the last try labelled and the members
+    # it placed, and its cell (None for a level of one atom)
+    stack = []
     counter, below = len(head_vars), False
     while True:
         # a new level: score the remaining atoms of its predicate
+        d = len(keys)
+        group = scan[d]
         min_key, ties = None, []
-        for i in scan[len(keys)]:
+        for i in group:
             if used[i]:
                 continue
             parts = []
@@ -572,6 +677,9 @@ def _canonical_labeling(head_vars, body, builtins):
                 if type(t) is int:
                     lab = label[t]
                     if lab < 0:
+                        if lab < -1:
+                            parts = _speculative_parts(atoms[i], label, slot, c, fresh, member_of)
+                            break
                         lab = label[t] = c
                         c += 1
                         fresh.append(t)
@@ -585,54 +693,104 @@ def _canonical_labeling(head_vars, body, builtins):
                 min_key, ties = key, [i]
             elif key == min_key:
                 ties.append(i)
-        keys.append(min_key)
-        tied_at.append(ties)
-        next_at.append(0)
-        fresh_at.append(())
-        counter_at.append(counter)
-        below_at.append(below)
-        while keys:  # emit the next tied atom, backtracking as needed
-            d = len(keys) - 1
-            ties = tied_at[d]
-            k = next_at[d]
+        cell = None
+        if len(ties) > 1 and (variables := _cell_vars(ties, group, atoms, label, used, constrained)) is not None:
+            f = len(variables[0])
+            cell = [counter, f, 0, variables]
+            for j in range(len(ties)):
+                shift = j * f
+                keys.append(tuple([p if p[0] or p[2] < counter else slot[p[2] + shift] for p in min_key]))
+        else:
+            keys.append(min_key)
+        stack.append([d, ties, 0, counter, below, (), (), cell])
+        while stack:  # emit the next tied atom, backtracking as needed
+            top = stack[-1]
+            d, ties, k, c, below, fresh, placed, cell = top
             if k:
-                used[ties[k - 1]] = False
-                for t in fresh_at[d]:
-                    label[t] = -1
-            key = keys[d]
-            below = below_at[d]
-            if best is not None and not below:
-                if key > best[d]:
-                    k = len(ties)  # every tied atom has this key
+                if cell is None:
+                    used[ties[k - 1]] = False
+                    for member in placed:
+                        _unplace(member, label)
                 else:
-                    below = key < best[d]
-            if k == len(ties):
-                for level in (keys, tied_at, next_at, fresh_at, counter_at, below_at):
-                    level.pop()
+                    for i in ties:
+                        used[i] = False
+                    cells.pop()
+                for t in fresh:
+                    label[t] = -1
+            tries = len(ties) if cell is None else 1
+            if best is not None and not below:
+                key = keys[d]
+                if key > best[d]:
+                    k = tries  # every try has these keys
+                elif key < best[d]:
+                    below = True
+                elif cell is not None:  # the cell's later depths
+                    for e in range(d + 1, len(keys)):
+                        if keys[e] != best[e]:
+                            if keys[e] > best[e]:
+                                k = tries
+                            else:
+                                below = True
+                            break
+            if k == tries:
+                stack.pop()
+                del keys[d:]
                 continue
-            i = ties[k]
-            next_at[d] = k + 1
-            used[i] = True
-            c = counter_at[d]
+            top[2] = k + 1
             fresh = []
-            for t in atoms[i]:
-                if type(t) is int and label[t] < 0:
-                    label[t] = c
-                    c += 1
-                    fresh.append(t)
-            fresh_at[d] = fresh
-            if d + 1 < n:
+            if cell is None:
+                i = ties[k]
+                used[i] = True
+                placed = []
+                for t in atoms[i]:
+                    if type(t) is int and label[t] < 0:
+                        if label[t] == -1:
+                            label[t] = c
+                            c += 1
+                            fresh.append(t)
+                        else:
+                            _place(member_of[t], label)
+                            placed.append(member_of[t])
+                top[6] = placed
+            else:
+                # the members' variables stay undecided until placed
+                for i, mine in zip(ties, cell[3]):
+                    used[i] = True
+                    member = (cell, mine)
+                    for t in mine:
+                        label[t] = -2
+                        member_of[t] = member
+                    fresh += mine
+                c += len(fresh)
+                cells.append(cell)
+            top[5] = fresh
+            if len(keys) < n:
                 counter = c
                 break
             # a leaf: every atom emitted
-            leaf_constraints = tuple(sorted(
-                (op, slot[label[lhs]] if type(lhs) is int else lhs, slot[label[rhs]] if type(rhs) is int else rhs)
-                for op, lhs, rhs in constraints
-            ))
+            leaf_constraints = []
+            for op, lhs, rhs in constraints:
+                lhs = slot[label[lhs]] if type(lhs) is int else lhs
+                rhs = slot[label[rhs]] if type(rhs) is int else rhs
+                # = and != read the same both ways round: order their
+                # operands by the new labels, not by the old names
+                if op in _SYMMETRIC and rhs < lhs:
+                    lhs, rhs = rhs, lhs
+                leaf_constraints.append((op, lhs, rhs))
+            leaf_constraints = tuple(sorted(leaf_constraints))
             if best is not None and not below and leaf_constraints >= best_constraints:
                 continue
             best, best_constraints, best_label = list(keys), leaf_constraints, list(label)
-            below_at[:] = [False] * len(below_at)  # the path is now best's own
+            for base, f, p, variables in cells:  # members never placed, in member order
+                for mine in variables:
+                    if label[mine[0]] < 0:
+                        lab = base + p * f
+                        p += 1
+                        for t in mine:
+                            best_label[t] = lab
+                            lab += 1
+            for level in stack:  # the path is now best's own
+                level[4] = False
         else:
             break
 

@@ -109,9 +109,7 @@ def reference_canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
     (by `brute_force_homomorphisms`) has an image with fewer atoms,
     replace the query by the image of one that does: its atoms and
     constraints mapped, duplicates and ground-true constraints dropped.
-    Then name the variables by the least (atom keys in emission order,
-    sorted constraint keys) over every order of the remaining atoms,
-    numbering variables by first appearance after the head."""
+    Then name the variables as `reference_labeling` does."""
     body = list(dict.fromkeys(q.body))
     builtins = list(dict.fromkeys(b for b in q.builtins if not _ground_true(b)))
     while True:
@@ -125,6 +123,16 @@ def reference_canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
                 break
         else:
             break
+    return reference_labeling(ConjunctiveQuery(q.name, q.head_vars, tuple(body), tuple(builtins)))
+
+
+def reference_labeling(q: ConjunctiveQuery) -> ConjunctiveQuery:
+    """The labeling half of `reference_canonicalize`, on q's body as it
+    stands: name the variables by the least (atom keys in emission
+    order, sorted constraint keys) over every order of q's atoms,
+    numbering variables by first appearance after the head, and sort
+    the renamed atoms and constraints."""
+    body, builtins = q.body, q.builtins
     best = None
     for order in itertools.permutations(body):
         names = {v: i for i, v in enumerate(q.head_vars)}
@@ -135,9 +143,14 @@ def reference_canonicalize(q: ConjunctiveQuery) -> ConjunctiveQuery:
         def key(t):
             return (0, 0, names[t]) if isinstance(t, Var) else term_key(t)
 
+        def constraint_key(b):
+            operands = (key(b.lhs), key(b.rhs))
+            # = and != read the same both ways round
+            return (b.op, *(sorted(operands) if b.op in ("=", "!=") else operands))
+
         rank = (
             tuple((a.predicate, tuple(key(t) for t in a.args)) for a in order),
-            tuple(sorted((b.op, key(b.lhs), key(b.rhs)) for b in builtins)),
+            tuple(sorted(constraint_key(b) for b in builtins)),
         )
         if best is None or rank < best[0]:
             best = (rank, names)

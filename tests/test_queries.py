@@ -19,7 +19,8 @@ from p2pq import (
     parse_query,
 )
 from generators import rand_query, rand_query_pair
-from oracles import brute_force_contains, brute_force_homomorphisms, reference_canonicalize
+import p2pq.queries as queries_module
+from oracles import brute_force_contains, brute_force_homomorphisms, reference_canonicalize, reference_labeling
 
 x, y = Var("x"), Var("y")
 
@@ -212,13 +213,136 @@ def test_canonicalize_clique_with_head():
 
 
 def test_canonicalize_disjoint_stars():
-    # the labeling tries the R atoms in every one of 8! orders before
-    # the constants tell the components apart
+    # the eight R atoms form one cell, and the S atoms' constants place
+    # its members one by one, without trying the 8! orders
     q = parse_query("q() :- " + ", ".join(f"R(x{i}, y{i}), S(y{i}, {i})" for i in range(8)))
     assert _timed_canonical_text(q) == (
         "q() :- R(v0, v1), R(v10, v11), R(v12, v13), R(v14, v15), R(v2, v3), R(v4, v5), R(v6, v7), "
         "R(v8, v9), S(v1, 0), S(v11, 5), S(v13, 6), S(v15, 7), S(v3, 1), S(v5, 2), S(v7, 3), S(v9, 4)"
     )
+
+
+def test_canonicalize_ten_disjoint_stars():
+    # one cell: the 10! orders of the R atoms, close to a minute's search, are never tried
+    q = parse_query("q() :- " + ", ".join(f"R(x{i}, y{i}), S(y{i}, {i})" for i in range(10)))
+    assert _timed_canonical_text(q) == (
+        "q() :- R(v0, v1), R(v10, v11), R(v12, v13), R(v14, v15), R(v16, v17), R(v18, v19), R(v2, v3), "
+        "R(v4, v5), R(v6, v7), R(v8, v9), S(v1, 0), S(v11, 5), S(v13, 6), S(v15, 7), S(v17, 8), S(v19, 9), "
+        "S(v3, 1), S(v5, 2), S(v7, 3), S(v9, 4)"
+    )
+
+
+def star_family(rng: random.Random, stars: int, centres: int, extras: int) -> ConjunctiveQuery:
+    """Stars R(x, yi), S(yi, c) over `centres` centres, shared in turn,
+    the first of them now and then a constant, with S constants drawn
+    from a few values so that they repeat, a second atom on `extras` of
+    the yi, 0-2 head variables, now and then a constraint on a star
+    variable, and the body shuffled."""
+    xs = [Var(f"x{i}") for i in range(centres)]
+    if rng.random() < 0.5:
+        xs[0] = Const(9)
+    ys = [Var(f"y{i}") for i in range(stars)]
+    consts = [Const(c) for c in rng.sample(range(4), rng.randint(2, 3))]
+    body = []
+    for i, y in enumerate(ys):
+        body += [Atom("R", (xs[i % centres], y)), Atom("S", (y, rng.choice(consts)))]
+    for y in rng.sample(ys, extras):
+        body.append(rng.choice([Atom("T", (y,)), Atom("S", (y, rng.choice(consts))), Atom("R", (y, rng.choice(xs)))]))
+    body = list(dict.fromkeys(body))
+    rng.shuffle(body)
+    builtins = []
+    if rng.random() < 0.25:
+        builtins.append(BuiltinAtom(rng.choice(["<", "<=", "!="]), rng.choice(ys), rng.choice(consts + xs)))
+    star_vars = [t for t in xs + ys if isinstance(t, Var)]
+    return ConjunctiveQuery("q", tuple(rng.sample(star_vars, rng.randint(0, 2))), tuple(body), tuple(builtins))
+
+
+def test_canonicalize_star_families_agree_with_reference(monkeypatch):
+    cells = []  # what each cell test returned
+    cell_vars = queries_module._cell_vars
+
+    def counted(*args):
+        cells.append(cell_vars(*args))
+        return cells[-1]
+
+    monkeypatch.setattr(queries_module, "_cell_vars", counted)
+    rng = random.Random(20261019)
+    for _ in range(100):
+        stars = rng.choice((2, 3, 3))
+        q = star_family(rng, stars, rng.randint(1, 2), rng.randint(0, min(stars, 7 - 2 * stars)))
+        if len(q.variables()) > 4:
+            continue  # the brute-force retraction tries every map of the variables
+        canonicalize.cache_clear()
+        assert repr(canonicalize(q)) == repr(reference_canonicalize(q)), str(q)
+    # cells formed, and ties that could not form one were searched
+    assert sum(c is not None for c in cells) >= 10
+    assert sum(c is None for c in cells) >= 10
+
+
+def _labeled(q: ConjunctiveQuery) -> str:
+    # q under the labeling alone, without core retraction
+    head, body, builtins = queries_module._canonical_labeling(q.head_vars, q.body, q.builtins)
+    return repr(ConjunctiveQuery(q.name, head, body, builtins))
+
+
+def test_labeling_agrees_with_reference_on_star_families():
+    # bodies that are not cores, too
+    rng = random.Random(20261020)
+    for _ in range(60):
+        stars = rng.randint(2, 3)
+        q = star_family(rng, stars, rng.randint(1, stars), rng.randint(0, min(stars, 7 - 2 * stars)))
+        assert _labeled(q) == repr(reference_labeling(q)), str(q)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # x1's R atoms form a cell; x2's do not, as R(x2, z1, w) shares
+        # z1.  Both tie at the cell's first depth, and x2's branch, tried
+        # first, is below at the second: the cell must be cut there, or
+        # its leaf, with the lesser constraint key, would win.
+        "q() :- A(x2, s), A(x1, s), R(x1, y1, y1), R(x1, y2, y2), R(x2, z1, z1), R(x2, z2, z2), R(x2, z1, w), x1 < 5",
+        # The R atoms form a cell.  RZ(y1, w1) and RZ(y2, w2) then tie,
+        # each placing its own star first, so they must not form a second
+        # cell: w1 and w2 would be ordered apart from y1 and y2.
+        "q() :- R(x2, y2), R(x1, y1), RZ(y1, w1), RZ(y2, w2), S(w1, 1), S(w2, 2)",
+    ],
+)
+def test_labeling_agrees_with_reference_on_ties_around_cells(text):
+    q = parse_query(text)
+    assert _labeled(q) == repr(reference_labeling(q))
+
+
+def test_canonical_form_ignores_the_names_of_symmetric_operands():
+    # the same query twice, with x1 != y2 stored as written in one and
+    # turned round by the operands' names in the other (b sorts before p)
+    a = parse_query("q() :- R(x1, y1), S(y1, 3), R(x2, y2), S(y2, 3), x1 != y2")
+    b = parse_query("q() :- R(p, q), S(q, 3), R(c, b), S(b, 3), p != b")
+    assert str(canonicalize(a)) == str(canonicalize(b)) == "q() :- R(v0, v1), R(v2, v3), S(v1, 3), S(v3, 3), v0 != v3"
+    assert repr(canonicalize(b)) == repr(reference_canonicalize(b))
+
+
+def _renamed(rng: random.Random, q: ConjunctiveQuery) -> ConjunctiveQuery:
+    names = [v for v in q.variables()]
+    fresh = dict(zip(names, (Var(f"w{i}") for i in rng.sample(range(100), len(names)))))
+    body = [Atom(a.predicate, tuple(fresh.get(t, t) for t in a.args)) for a in q.body]
+    rng.shuffle(body)
+    builtins = [BuiltinAtom(b.op, fresh.get(b.lhs, b.lhs), fresh.get(b.rhs, b.rhs)) for b in q.builtins]
+    return ConjunctiveQuery(q.name, tuple(fresh[v] for v in q.head_vars), tuple(body), tuple(builtins))
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_canonical_form_of_large_star_families_is_invariant(seed):
+    # 12-20 atoms, past the reference's permutation search
+    rng = random.Random(seed)
+    stars = rng.randint(6, 9)
+    q = star_family(rng, stars, rng.choice([1, 2, stars]), rng.randint(0, min(stars, 20 - 2 * stars)))
+    assert 12 <= len(q.body) <= 20
+    canonicalize.cache_clear()
+    expected = canonicalize(q)
+    canonicalize.cache_clear()
+    assert repr(canonicalize(_renamed(rng, q))) == repr(expected), str(q)
 
 
 def test_canonicalize_long_chain():
