@@ -2,10 +2,11 @@
 
 Relations are finite sets of constant tuples.  A query is evaluated by
 matching its body atoms against the owning peer's facts
-(`queries.match_atoms`): an atom that holds a constant or shares a
-variable with the atoms already joined is joined next, and its
-candidate facts are looked up in an index on its first already-bound
-argument position.  The matches are filtered by the comparison
+(`queries.match_atoms`), fail first: among the atoms that hold a
+constant or share a variable with the atoms already joined, the one
+with the fewest unbound variables is joined next, and its candidate
+facts are looked up in an index on its first already-bound argument
+position.  The matches are filtered by the comparison
 constraints and projected onto the head; the 0-ary relations {} and
 {()} act as false and true, so boolean queries come out as one of those
 two values.

@@ -5,7 +5,10 @@ rest of the package is built on: homomorphism search, containment,
 equivalence, and canonical forms.
 
 One indexed, iterative atom matcher, `match_atoms`, serves evaluation
-over facts, view folding, containment and core retraction.
+over facts, view folding, containment and core retraction.  It joins
+the atoms fail first: among the atoms connected to what is bound, the
+one with the fewest unbound variables goes next, so a pure check runs
+as soon as its variables are bound.
 
 Everything here is an immutable value and every operation is a pure
 function, so results can be cached and shared freely.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import QueryError
@@ -316,63 +319,82 @@ def _match_args(pattern: Sequence[Term], target: Sequence[Term], env: dict) -> O
 
 
 def _connected_order(atoms: Sequence[Atom], bound: Iterable[Var]) -> list[tuple[Atom, int]]:
-    """Search order for `match_atoms`: body order, except that an atom
-    holding a constant or sharing a variable with the atoms already
-    placed (or with `bound`) is placed as soon as it becomes ready.
-    Each atom comes with its first argument position that is bound
-    when it is reached (-1 if none), which keys its candidate index.
-    The bookkeeping is keyed on variable names, whose hashing is
-    native."""
+    """Search order for `match_atoms`, fail first.  An atom is ready when
+    it holds a constant or a variable that is bound (in `bound` or by an
+    atom already placed), or has no arguments.  Each step places the
+    ready atom with the fewest distinct unbound variables, the lower
+    body index breaking ties, so an atom whose variables are all bound,
+    a pure check, runs as soon as it is ready.  When no atom is ready, a
+    new component starts at the first unplaced atom in body order.
+    Each atom comes with its first argument position that is bound when
+    it is reached (-1 if none), which keys its candidate index.
+
+    One heap of (unbound count, index) holds the ready atoms.  When a
+    variable binds, each unplaced atom holding it gets its count
+    lowered and a new entry; an entry whose count is no longer the
+    atom's is skipped when popped.  So a plan costs O(occurrences ·
+    log n).  The bookkeeping is keyed on variable names, whose hashing
+    is native."""
     bound = {v.name for v in bound}
-    ready: list[int] = []  # heap of atom indices
-    waiting: dict[str, list[int]] = {}  # unbound variable name -> atoms it would make ready
+    left: list[int] = []  # distinct unbound variables per atom; -1 once placed
+    holders: dict[str, list[int]] = {}  # unbound variable name -> atoms holding it; popped when it binds
+    ready: list[tuple[int, int]] = []  # heap of (left[i], i)
     for i, a in enumerate(atoms):
+        is_ready = not a.args
+        count = 0
         for t in a.args:
             if isinstance(t, Const) or t.name in bound:
-                ready.append(i)
-                break
-        else:
-            for t in a.args:
-                waiting.setdefault(t.name, []).append(i)
-    placed = [False] * len(atoms)
+                is_ready = True
+            elif (held := holders.get(t.name)) is None:
+                holders[t.name] = [i]
+                count += 1
+            elif held[-1] != i:  # not a repeat within this atom
+                held.append(i)
+                count += 1
+        left.append(count)
+        if is_ready:
+            ready.append((count, i))
+    heapify(ready)
     first_unplaced = 0
     plan = []
     for _ in atoms:
-        while ready and placed[ready[0]]:
+        while ready and ready[0][0] != left[ready[0][1]]:
             heappop(ready)
         if ready:
-            i = heappop(ready)
+            i = heappop(ready)[1]
         else:
-            while placed[first_unplaced]:
+            while left[first_unplaced] < 0:
                 first_unplaced += 1
             i = first_unplaced
-        placed[i] = True
+        left[i] = -1
         a = atoms[i]
         key = -1
         for k, t in enumerate(a.args):
-            if isinstance(t, Const) or t.name in bound:
+            if isinstance(t, Const) or t.name not in holders:
                 key = k
                 break
         plan.append((a, key))
         for t in a.args:
             if isinstance(t, Var):
-                name = t.name
-                if name in waiting:
-                    for j in waiting.pop(name):
-                        heappush(ready, j)
-                bound.add(name)
+                for j in holders.pop(t.name, ()):
+                    if left[j] >= 0:
+                        left[j] -= 1
+                        heappush(ready, (left[j], j))
     return plan
 
 
 def match_atoms(atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Var, Term]) -> Iterator[dict]:
     """Every extension of env0 that maps each atom onto some target atom.
 
-    The atoms are joined in connected order (`_connected_order`).  An
-    atom's candidates come from an index of the targets on its first
-    bound argument position; each index is built on first use and
-    shared by the atoms with the same predicate, arity and position.
-    The search keeps an explicit stack, so long bodies do not
-    recurse."""
+    The atoms are joined fail first (`_connected_order`): next comes
+    the atom, among those holding a constant or a bound variable, with
+    the fewest distinct unbound variables, the lower body index
+    breaking ties.  The plan decides the order in which the extensions
+    come, never which ones come.  An atom's candidates come from an
+    index of the targets on its first bound argument position; each
+    index is built on first use and shared by the atoms with the same
+    predicate, arity and position.  The search keeps an explicit stack,
+    so long bodies do not recurse."""
     env0 = dict(env0)
     plan = _connected_order(atoms, env0)
     if not plan:
@@ -456,6 +478,7 @@ def homomorphisms(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> list[dict[Var,
     h(a) a body atom of `to` for every body atom a of `frm`, with every
     constraint of `frm` surviving per the conservative rule.
 
+    The maps come in no fixed order: it follows `match_atoms`'s plan.
     Queries with different head arities are incomparable and raise.
     """
     return list(_homs(frm, to))
@@ -492,7 +515,10 @@ def _smaller_image(q: ConjunctiveQuery, n: int) -> Optional[dict]:
     """The first endomorphism of q, fixing the head, whose image has
     fewer than n atoms, n being the number of distinct atoms of q's
     body; None when every endomorphism is onto, that is, when q is a
-    core."""
+    core.  Which one is first depends on `match_atoms`'s plan, but not
+    what `canonicalize` prints: retracting until no such map is left
+    ends at q's core whichever maps are taken, the core is unique up to
+    renaming, and the labeling then names it the same way."""
     for h in _homs(q, q):
         # plain tuples: an Atom per image would validate every term again
         if len({(a.predicate, tuple([h.get(t, t) for t in a.args])) for a in q.body}) < n:
