@@ -501,16 +501,6 @@ def equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
 # canonical forms
 
 
-def _dedupe(seq):
-    seen = set()
-    out = []
-    for x in seq:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
-
-
 def _smaller_image(q: ConjunctiveQuery, n: int) -> Optional[dict]:
     """The first endomorphism of q, fixing the head, whose image has
     fewer than n atoms, n being the number of distinct atoms of q's
@@ -535,9 +525,9 @@ def _core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     # holds, which is dropped.  The result is unique up to variable
     # renaming, which the labeling step resolves.
     while (h := _smaller_image(q, len(q.body))) is not None:
-        body = _dedupe(Atom(a.predicate, tuple([h.get(t, t) for t in a.args])) for a in q.body)
-        builtins = [_builtin_image(b, h) for b in q.builtins]
-        q = ConjunctiveQuery(q.name, q.head_vars, body, _dedupe(b for b in builtins if not _ground_true(b)))
+        body = dict.fromkeys(Atom(a.predicate, tuple([h.get(t, t) for t in a.args])) for a in q.body)
+        builtins = dict.fromkeys(_builtin_image(b, h) for b in q.builtins)
+        q = ConjunctiveQuery(q.name, q.head_vars, list(body), [b for b in builtins if not _ground_true(b)])
     return q
 
 
@@ -555,33 +545,6 @@ def _unplace(member, label):
     member[0][2] -= 1
     for t in member[1]:
         label[t] = -2
-
-
-def _speculative_parts(args, label, slot, c, fresh, member_of):
-    """The key parts of an atom that holds an undecided variable: each
-    distinct undecided member, in argument order, takes its cell's next
-    free position, and fresh variables take c, c+1, ... and are added
-    to `fresh`.  The placements are undone before returning."""
-    parts = []
-    placed = []
-    for t in args:
-        if type(t) is int:
-            lab = label[t]
-            if lab < 0:
-                if lab == -1:
-                    lab = label[t] = c
-                    c += 1
-                    fresh.append(t)
-                else:
-                    _place(member_of[t], label)
-                    placed.append(member_of[t])
-                    lab = label[t]
-            parts.append(slot[lab])
-        else:
-            parts.append(t)
-    for member in placed:
-        _unplace(member, label)
-    return parts
 
 
 def _cell_vars(ties, group, atoms, label, used, constrained):
@@ -649,9 +612,15 @@ def _canonical_labeling(head_vars, body, builtins):
     apart only by a third predicate, are tried in every order.
 
     Variables are numbered once as ints, and their labels live in one
-    list, set on descent and undone on backtrack.  The search keeps an
-    explicit stack with one entry per level, a cell being one level,
-    so long bodies do not recurse.
+    list.  The search keeps one suspended generator per level of the
+    path on a list, as `match_atoms` keeps its candidate iterators, so
+    long bodies do not recurse.  A level's generator emits one tied
+    atom, or the whole cell, at a time: it sets the labels, yields the
+    next free label, and undoes the emission when resumed.  One flag,
+    set where the path's keys fall under the best leaf's and cleared at
+    the next leaf, makes the cut one comparison of a level's keys with
+    best's, for an atom and a cell alike, and lets a leaf under best
+    win without comparing constraints.
     """
     # keyed on variable names, whose hashing is native
     ids = {v.name: i for i, v in enumerate(head_vars)}
@@ -678,147 +647,136 @@ def _canonical_labeling(head_vars, body, builtins):
     # an undecided variable's member: its cell [base, f, next free
     # position, each member's variables] and its own variables
     member_of = [None] * len(ids)
-    best = None  # keys of the best leaf, by depth
-    best_constraints = best_label = None
     keys = []  # the key at each depth of the current path
-    cells = []  # the cells on the stack
-    # one entry per level: its first depth, its tied atoms, the next one
-    # to try, the counter on entry, whether the keys above are already
-    # below best's, the variables the last try labelled and the members
-    # it placed, and its cell (None for a level of one atom)
-    stack = []
-    counter, below = len(head_vars), False
-    while True:
-        # a new level: score the remaining atoms of its predicate
-        d = len(keys)
-        group = scan[d]
-        min_key, ties = None, []
-        for i in group:
-            if used[i]:
-                continue
-            parts = []
-            fresh = []
-            c = counter
-            for t in atoms[i]:
-                if type(t) is int:
-                    lab = label[t]
-                    if lab < 0:
-                        if lab < -1:
-                            parts = _speculative_parts(atoms[i], label, slot, c, fresh, member_of)
-                            break
-                        lab = label[t] = c
-                        c += 1
-                        fresh.append(t)
-                    parts.append(slot[lab])
-                else:
-                    parts.append(t)
-            for t in fresh:
-                label[t] = -1
-            key = tuple(parts)
-            if min_key is None or key < min_key:
-                min_key, ties = key, [i]
-            elif key == min_key:
-                ties.append(i)
-        cell = None
-        if len(ties) > 1 and (variables := _cell_vars(ties, group, atoms, label, used, constrained)) is not None:
-            f = len(variables[0])
-            cell = [counter, f, 0, variables]
-            for j in range(len(ties)):
-                shift = j * f
-                keys.append(tuple([p if p[0] or p[2] < counter else slot[p[2] + shift] for p in min_key]))
-        else:
-            keys.append(min_key)
-        stack.append([d, ties, 0, counter, below, (), (), cell])
-        while stack:  # emit the next tied atom, backtracking as needed
-            top = stack[-1]
-            d, ties, k, c, below, fresh, placed, cell = top
-            if k:
-                if cell is None:
-                    used[ties[k - 1]] = False
-                    for member in placed:
-                        _unplace(member, label)
-                else:
-                    for i in ties:
-                        used[i] = False
-                    cells.pop()
-                for t in fresh:
-                    label[t] = -1
-            tries = len(ties) if cell is None else 1
-            if best is not None and not below:
-                key = keys[d]
-                if key > best[d]:
-                    k = tries  # every try has these keys
-                elif key < best[d]:
-                    below = True
-                elif cell is not None:  # the cell's later depths
-                    for e in range(d + 1, len(keys)):
-                        if keys[e] != best[e]:
-                            if keys[e] > best[e]:
-                                k = tries
-                            else:
-                                below = True
-                            break
-            if k == tries:
-                stack.pop()
-                del keys[d:]
-                continue
-            top[2] = k + 1
-            fresh = []
-            if cell is None:
-                i = ties[k]
+    cells = []  # the cells on the path
+
+    def tries(d, c, ties, cell):
+        # the level whose keys start at depth d, c being the next free label
+        if cell is None:
+            for i in ties:
                 used[i] = True
+                fresh = []
                 placed = []
+                e = c
                 for t in atoms[i]:
                     if type(t) is int and label[t] < 0:
                         if label[t] == -1:
-                            label[t] = c
-                            c += 1
+                            label[t] = e
+                            e += 1
                             fresh.append(t)
                         else:
                             _place(member_of[t], label)
                             placed.append(member_of[t])
-                top[6] = placed
-            else:
-                # the members' variables stay undecided until placed
-                for i, mine in zip(ties, cell[3]):
-                    used[i] = True
-                    member = (cell, mine)
-                    for t in mine:
-                        label[t] = -2
-                        member_of[t] = member
-                    fresh += mine
-                c += len(fresh)
-                cells.append(cell)
-            top[5] = fresh
-            if len(keys) < n:
-                counter = c
-                break
-            # a leaf: every atom emitted
-            leaf_constraints = []
-            for op, lhs, rhs in constraints:
-                lhs = slot[label[lhs]] if type(lhs) is int else lhs
-                rhs = slot[label[rhs]] if type(rhs) is int else rhs
-                # = and != read the same both ways round: order their
-                # operands by the new labels, not by the old names
-                if op in _SYMMETRIC and rhs < lhs:
-                    lhs, rhs = rhs, lhs
-                leaf_constraints.append((op, lhs, rhs))
-            leaf_constraints = tuple(sorted(leaf_constraints))
-            if best is not None and not below and leaf_constraints >= best_constraints:
-                continue
-            best, best_constraints, best_label = list(keys), leaf_constraints, list(label)
-            for base, f, p, variables in cells:  # members never placed, in member order
-                for mine in variables:
-                    if label[mine[0]] < 0:
-                        lab = base + p * f
-                        p += 1
-                        for t in mine:
-                            best_label[t] = lab
-                            lab += 1
-            for level in stack:  # the path is now best's own
-                level[4] = False
+                yield e
+                used[i] = False
+                for member in placed:
+                    _unplace(member, label)
+                for t in fresh:
+                    label[t] = -1
         else:
+            # the members' variables stay undecided until placed
+            fresh = []
+            for i, mine in zip(ties, cell[3]):
+                used[i] = True
+                member = (cell, mine)
+                for t in mine:
+                    label[t] = -2
+                    member_of[t] = member
+                fresh += mine
+            cells.append(cell)
+            yield c + len(fresh)
+            for i in ties:
+                used[i] = False
+            cells.pop()
+            for t in fresh:
+                label[t] = -1
+        del keys[d:]
+
+    best = best_constraints = best_label = None  # the best leaf's keys by depth, constraint keys and labels
+    # whether the path's keys are under best's, or no best is found yet;
+    # cleared at the next leaf, which no cut stops and which becomes
+    # best, so no backtrack finds it set
+    below = True
+    # one suspended `tries` per level of the path, under a root that
+    # emits nothing and yields the first label after the head's
+    stack = [iter((len(head_vars),))]
+    while stack:
+        for c in stack[-1]:
+            d = len(keys)
+            if d == n:  # a leaf: every atom emitted
+                leaf_constraints = []
+                for op, lhs, rhs in constraints:
+                    lhs = slot[label[lhs]] if type(lhs) is int else lhs
+                    rhs = slot[label[rhs]] if type(rhs) is int else rhs
+                    # = and != read the same both ways round: order their
+                    # operands by the new labels, not by the old names
+                    if op in _SYMMETRIC and rhs < lhs:
+                        lhs, rhs = rhs, lhs
+                    leaf_constraints.append((op, lhs, rhs))
+                leaf_constraints = tuple(sorted(leaf_constraints))
+                if below or leaf_constraints < best_constraints:
+                    best, best_constraints, best_label = list(keys), leaf_constraints, list(label)
+                    for base, f, p, variables in cells:  # members never placed, in member order
+                        for mine in variables:
+                            if label[mine[0]] < 0:
+                                lab = base + p * f
+                                p += 1
+                                for t in mine:
+                                    best_label[t] = lab
+                                    lab += 1
+                    below = False  # the path is now best's own
+                continue
+            # a new level: score the remaining atoms of its predicate, c
+            # being the next free label
+            group = scan[d]
+            min_key, ties = None, []
+            for i in group:
+                if used[i]:
+                    continue
+                key = []
+                fresh = []
+                placed = []
+                e = c
+                for t in atoms[i]:
+                    if type(t) is int:
+                        lab = label[t]
+                        if lab < 0:
+                            if lab == -1:
+                                lab = label[t] = e
+                                e += 1
+                                fresh.append(t)
+                            else:  # an undecided member takes its cell's next free position
+                                _place(member_of[t], label)
+                                placed.append(member_of[t])
+                                lab = label[t]
+                        key.append(slot[lab])
+                    else:
+                        key.append(t)
+                for t in fresh:
+                    label[t] = -1
+                if placed:
+                    for member in placed:
+                        _unplace(member, label)
+                if min_key is None or key < min_key:
+                    min_key, ties = key, [i]
+                elif key == min_key:
+                    ties.append(i)
+            cell = None
+            if len(ties) > 1 and (variables := _cell_vars(ties, group, atoms, label, used, constrained)) is not None:
+                f = len(variables[0])
+                cell = [c, f, 0, variables]
+                for shift in range(0, len(ties) * f, f):
+                    keys.append([p if p[0] or p[2] < c else slot[p[2] + shift] for p in min_key])
+            else:
+                keys.append(min_key)
+            if not below and (part := keys[d:]) > (tail := best[d : len(keys)]):
+                del keys[d:]  # every try has these keys
+                continue
+            below = below or part < tail
+            stack.append(tries(d, c, ties, cell))
             break
+        else:
+            stack.pop()
 
     named = [Var(f"v{i}") for i in range(len(ids))]
     rename = {name: named[best_label[i]] for name, i in ids.items()}
@@ -839,8 +797,8 @@ def _canonical_form(q: ConjunctiveQuery) -> ConjunctiveQuery:
     # Keyed on structure only, since names take no part in equality:
     # the name of the result is that of the first query seen with this
     # structure, and `canonicalize` puts the caller's name back.
-    builtins = _dedupe(b for b in q.builtins if not _ground_true(b))
-    core = _core(ConjunctiveQuery(q.name, q.head_vars, _dedupe(q.body), builtins))
+    builtins = list(dict.fromkeys(b for b in q.builtins if not _ground_true(b)))
+    core = _core(ConjunctiveQuery(q.name, q.head_vars, list(dict.fromkeys(q.body)), builtins))
     new_head, new_body, new_builtins = _canonical_labeling(q.head_vars, core.body, core.builtins)
     return ConjunctiveQuery(q.name, new_head, new_body, new_builtins)
 

@@ -197,6 +197,11 @@ def test_answer_bad_query_is_usage_error(capsys):
     assert "bad query" in capsys.readouterr().err
 
 
+def test_answer_query_of_constraints_only_is_usage_error(capsys):
+    assert main(["answer", NET, "--peer", "Pi", "--query", "q() :- 1 < 2"]) == 2
+    assert capsys.readouterr().err == "error: bad query: query 'q' has an empty body\n"
+
+
 @NEEDS_INT_DIGIT_LIMIT
 def test_rewrite_integer_past_the_digit_limit_is_usage_error(capsys):
     query = "q(x) :- A(x, " + "1" * 5000 + ")"
@@ -302,6 +307,34 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "network OK" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, ceiling",
+    [
+        (["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)", "--trace", "--format", "json"], None),
+        (["rewrite", NET, "--peer", "Pi", "--target", "Pj", "--query", "q(x) :- A(x, y), B(y)"], None),
+        (["oracle-check", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)"], None),
+        # the agent diverges here, so the step ceiling stops it
+        (["answer", str(ROOT / "demos" / "networks" / "divergent.json"), "--peer", "P3",
+          "--query", "q(x) :- R3a(y, y), R3b(x)"], "5"),
+    ],
+    ids=["answer-trace-json", "rewrite", "oracle-check", "ceiling"],
+)
+def test_output_does_not_depend_on_the_hash_seed(argv, ceiling):
+    # four seeds: a set of two strings iterates in the same order under
+    # seeds 0 and 1 one time in two
+    runs = []
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        env.pop("P2PQ_STEP_CEILING", None)
+        if ceiling is not None:
+            env["P2PQ_STEP_CEILING"] = ceiling
+        proc = subprocess.run([sys.executable, "-m", "p2pq.cli", *argv], env=env, capture_output=True)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs.count(runs[0]) == len(runs)
+    code, _, err = runs[0]
+    assert (code, err) == ((1, b"error: fixpoint ceiling exceeded (5 steps)\n") if ceiling else (0, b""))
 
 
 def test_readme_command_line_examples(monkeypatch, capsys):

@@ -285,3 +285,65 @@ def test_network_rejects_duplicate_relation():
 def test_relation_arity_positive():
     with pytest.raises(ValidationError):
         RelationSignature("R", 0)
+
+
+_DELETE = object()
+_VIEW = {"name": "v", "def": "v(x) :- R(x, y)"}
+
+
+def _set(path, value):
+    # minimal_doc with the value at the key path, or with that key
+    # deleted when value is _DELETE
+    def change(doc):
+        *parents, last = path
+        part = doc
+        for key in parents:
+            part = part[key]
+        if value is _DELETE:
+            del part[last]
+        else:
+            part[last] = value
+        return doc
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: [doc], "document: expected an object"),
+        (_set(("peers",), {}), "peers: expected an array"),
+        (_set(("mappings",), {}), "mappings: expected an array"),
+        (_set(("peers", 0), 5), "peers[0]: expected an object"),
+        (_set(("peers", 0, "id"), _DELETE), "peers[0]: missing 'id'"),
+        (_set(("peers", 0, "id"), 3), "peers[0].id: expected a string"),
+        (_set(("peers", 0, "schema"), {}), "peer 'P1'.schema: expected an array"),
+        (_set(("peers", 0, "schema", 0), 1), "peer 'P1'.schema[0]: expected an object"),
+        (_set(("peers", 0, "schema", 0, "type"), "int"), "peer 'P1'.schema[0]: unknown key 'type'"),
+        (_set(("peers", 0, "schema", 0, "arity"), _DELETE), "peer 'P1'.schema[0]: needs 'name' and 'arity'"),
+        (_set(("peers", 0, "views"), {}), "peer 'P1'.views: expected an array"),
+        (_set(("peers", 0, "views", 0), "v"), "peer 'P1'.views[0]: expected an object"),
+        (_set(("peers", 0, "views", 0, "kind"), "view"), "peer 'P1'.views[0]: unknown key 'kind'"),
+        (_set(("peers", 0, "views", 0, "def"), _DELETE), "peer 'P1'.views[0]: needs 'name' and 'def'"),
+        (_set(("peers", 0, "views", 0, "name"), 1), "peer 'P1'.views[0].name: expected a string"),
+        (_set(("peers", 0, "views", 0, "def"), None), "peer 'P1'.views[0].def: expected a string"),
+        (_set(("peers", 0, "facts"), "R(1, 2)"), "peer 'P1'.facts: expected an array"),
+        (_set(("mappings", 0), []), "mappings[0]: expected an object"),
+        (_set(("mappings", 0, "via"), "P3"), "mappings[0]: unknown key 'via'"),
+        (_set(("mappings", 0, "to_view"), _DELETE), "mappings[0]: missing 'to_view'"),
+        (_set(("mappings", 0, "from_peer"), 1), "mappings[0].from_peer: expected a string"),
+        (_set(("peers", 0, "schema", 0, "name"), "1R"), "invalid relation name '1R'"),
+        (_set(("peers", 0, "id"), ""), "invalid peer id ''"),
+        (_set(("peers", 0, "views"), [_VIEW, _VIEW]), "peer 'P1': duplicate view 'v'"),
+    ],
+)
+def test_load_rejects_each_malformed_part_with_its_message(change, message):
+    with pytest.raises(ValidationError) as err:
+        load_network(json.dumps(change(minimal_doc())))
+    assert str(err.value) == message
+
+
+def test_view_definition_must_be_a_query():
+    with pytest.raises(ValidationError) as err:
+        ViewDefinition("v", "v(x) :- R(x, y)")
+    assert str(err.value) == "view 'v': definition is not a query"

@@ -25,6 +25,48 @@ from oracles import brute_force_contains, brute_force_homomorphisms, reference_c
 x, y = Var("x"), Var("y")
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Var("1x"), "invalid variable name '1x'"),
+        (lambda: Const(True), "constants must be int or str, got True"),
+        (lambda: Atom("1R", (x,)), "invalid predicate name '1R'"),
+        (lambda: Atom("R", (x, 1)), "not a term: 1"),
+        (lambda: BuiltinAtom("~", x, y), "unknown comparison operator '~'"),
+        (lambda: BuiltinAtom("<", x, 3), "not a term: 3"),
+        (lambda: BuiltinAtom("<", x, Const(1)).holds_ground(), "constraint x < 1 is not ground"),
+        (lambda: queries_module.compare_constants("~", 1, 2), "unknown comparison operator '~'"),
+        (lambda: ConjunctiveQuery("1q", (x,), (Atom("A", (x,)),)), "invalid query name '1q'"),
+        (lambda: ConjunctiveQuery("q", (), ()), "query 'q' has an empty body"),
+        (lambda: ConjunctiveQuery("q", (), (x,)), "not an atom in body of 'q': Var(name='x')"),
+        (lambda: ConjunctiveQuery("q", (), (Atom("A", (x,)),), (Atom("A", (x,)),)),
+         "not a constraint in 'q': Atom(predicate='A', args=(Var(name='x'),))"),
+        (lambda: contains(parse_query("q(x) :- R(x)"), parse_query("q() :- R(x)")),
+         "incomparable queries: head arity 1 vs 0"),
+    ],
+)
+def test_kernel_rejects_invalid_input_with_its_message(make, message):
+    with pytest.raises(QueryError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_atom_stores_list_args_as_a_tuple():
+    assert Atom("R", [x, Const(1)]).args == (x, Const(1))
+    assert type(Atom("R", [x]).args) is tuple
+
+
+def test_compare_constants_greater():
+    compare = queries_module.compare_constants
+    assert compare(">", 2, 1) and not compare(">", 1, 1) and not compare(">", "b", 1)
+    assert compare(">=", 1, 1) and compare(">=", "b", "a") and not compare(">=", 0, 1)
+
+
+def test_match_atoms_of_no_atoms_yields_the_start_once():
+    env0 = {x: Const(1)}
+    assert list(queries_module.match_atoms([], [Atom("R", (x,))], env0)) == [env0]
+
+
 def test_construction_rejects_unsafe_head():
     with pytest.raises(QueryError, match="unsafe query"):
         ConjunctiveQuery("q", (x,), (Atom("A", (y,)),), ())

@@ -100,6 +100,13 @@ def test_minicon_finds_equivalent_expression():
     assert equivalent(unfold(psi, defs), q)
 
 
+def test_minicon_refuses_a_query_with_constraints():
+    defs = views("v1(x, y) :- A(x, y)")
+    with pytest.raises(QueryError) as err:
+        minicon(parse_query("q(x) :- A(x, y), y < 3"), defs, "Pi")
+    assert str(err.value) == "minicon expects a constraint-free query, got 'q'"
+
+
 def test_minicon_none_when_views_too_weak():
     defs = views("v1(x, y) :- A(x, y)", "v2(y) :- B(y)")
     assert minicon(parse_query("q(x) :- E(x)"), defs, "Pi") is None
