@@ -12,7 +12,9 @@ A network document is JSON:
 Unknown keys are rejected.  View definitions and facts reuse the query
 grammar.  Mapping pairs are directional: a pair under (i, j) lets peer i
 push rewritings toward peer j only.  Self-mappings are not allowed.
-Networks are immutable once loaded.
+Networks are immutable once loaded; the one thing a network gains after
+loading is `rew`'s memo of MiniCon searches, which takes no part in its
+value (see `Network`).
 """
 
 from __future__ import annotations
@@ -173,10 +175,17 @@ class Network:
 
     `interfaces` maps (from_peer, to_peer) to the declared pairs, in
     declaration order; its key order fixes the neighbor traversal order.
+
+    `_minicon` is `rew`'s memo of MiniCon searches.  It is not part of
+    the network's value: equality and repr leave it out, and it lives
+    exactly as long as the network, so one loaded document (one CLI
+    request) shares its searches and nothing outlives it.
     """
 
     peers: tuple[Peer, ...]
     interfaces: dict[tuple[str, str], tuple[MappingPair, ...]] = field(default_factory=dict)
+    # (source peer, mapped view names, reduct) -> minicon's result, for rew
+    _minicon: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "peers", tuple(self.peers))
@@ -280,7 +289,10 @@ def _load_peer(d, index: int) -> Peer:
             raise _unknown_key(s, _SIGNATURE_KEYS, f"peer {pid!r}.schema[{k}]")
         if "name" not in s or "arity" not in s:
             raise ValidationError(f"peer {pid!r}.schema[{k}]: needs 'name' and 'arity'")
-        schema.append(RelationSignature(s["name"], s["arity"]))
+        try:
+            schema.append(RelationSignature(s["name"], s["arity"]))
+        except ValidationError as e:
+            raise ValidationError(f"peer {pid!r}.schema[{k}]: {e}") from e
 
     views = []
     entries = d.get("views", [])
@@ -322,7 +334,8 @@ def _load_peer(d, index: int) -> Peer:
     try:
         return Peer(pid, tuple(schema), tuple(views), frozenset(facts))
     except P2pqError as e:
-        raise ValidationError(str(e)) from e
+        # Peer's messages name the peer, save the one for an empty id
+        raise ValidationError(str(e) if pid else f"peers[{index}]: {e}") from e
 
 
 def load_network(text: str) -> Network:

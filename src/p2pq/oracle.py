@@ -1,4 +1,4 @@
-"""Weak-deduction oracle: the agent's independent certificate.
+"""Weak-deduction oracle: a second traversal that certifies the agent.
 
 Instead of queue pointers, this module grows a deduction tree by
 breadth-first search: a node is a (peer, query) pair, its children are
@@ -6,6 +6,14 @@ the one-step rewritings toward each neighbor, and EMPTY children are
 kept as explicit leaves.  The closure is the memo of visited (peer,
 canonical query) pairs, grouped by peer; it makes the tree finite
 whenever the reachable query space is.
+
+What is its own is the traversal and the dedupe: it keeps no queues or
+pointers and checks duplicates against its memo.  What it shares with
+the agent is the one-hop step: it calls the same `rew`, which reads the
+same per-network memo of minicon searches, so a search the agent made
+is not made again.  subst, unfold and the constraint check still run
+for each neighbor on every call.  A fault inside `rew` therefore shows
+on both sides alike and passes this check.
 
 check_theorem compares the closure with the agent's fixpoint peer by
 peer.  Both sides hold canonical forms, which are cores with a minimum

@@ -12,6 +12,11 @@ The pipeline for pushing a query q from peer i toward peer j is
 4. unfold expands j's view definitions, producing a base-level query
    over j's schema, and the constraints are re-attached.
 
+Only the last two steps depend on j.  So for each loaded network, `rew`
+runs minicon once per source peer, mapped view set and reduct, and
+keeps the result on the network; subst, unfold, the constraint check
+and canonicalize run on every call.
+
 Absence of a rewriting is a value, not an error: minicon and rew return
 None for it.
 """
@@ -217,6 +222,10 @@ def rew(q: ConjunctiveQuery, net: Network, i: str, j: str) -> Optional[Conjuncti
 
     q must be base-level over i's schema and (i, j) must be a declared
     interface direction.
+
+    minicon's result is kept on `net`, one per source peer, mapped view
+    set and reduct, and reused by every later call with that key; the
+    rest of the pipeline runs on every call.
     """
     peer_i = net.peer(i)
     peer_j = net.peer(j)
@@ -229,7 +238,11 @@ def rew(q: ConjunctiveQuery, net: Network, i: str, j: str) -> Optional[Conjuncti
     from_names = {pair.from_view for pair in group}
     mapped_views = tuple(v for v in peer_i.views if v.name in from_names)
 
-    psi = minicon(reduct, mapped_views, owner=i)
+    # psi may carry an earlier caller's name; the result takes q's
+    key = (i, tuple(v.name for v in mapped_views), reduct)
+    psi = net._minicon.get(key, False)  # False: not searched yet
+    if psi is False:
+        psi = net._minicon[key] = minicon(reduct, mapped_views, owner=i)
     if psi is None:
         return None
     # psi uses only views the group maps, and the network checked that

@@ -332,8 +332,12 @@ def _set(path, value):
         (_set(("mappings", 0, "via"), "P3"), "mappings[0]: unknown key 'via'"),
         (_set(("mappings", 0, "to_view"), _DELETE), "mappings[0]: missing 'to_view'"),
         (_set(("mappings", 0, "from_peer"), 1), "mappings[0].from_peer: expected a string"),
-        (_set(("peers", 0, "schema", 0, "name"), "1R"), "invalid relation name '1R'"),
-        (_set(("peers", 0, "id"), ""), "invalid peer id ''"),
+        (_set(("peers", 0, "schema", 0, "name"), "1R"), "peer 'P1'.schema[0]: invalid relation name '1R'"),
+        (
+            _set(("peers", 0, "schema", 0, "arity"), 0),
+            "peer 'P1'.schema[0]: relation 'R': arity must be a positive integer",
+        ),
+        (_set(("peers", 0, "id"), ""), "peers[0]: invalid peer id ''"),
         (_set(("peers", 0, "views"), [_VIEW, _VIEW]), "peer 'P1': duplicate view 'v'"),
     ],
 )

@@ -6,17 +6,21 @@ import pytest
 
 from p2pq import (
     MappingPair,
+    Network,
     QueryError,
     UnknownViewError,
     ValidationError,
     ViewDefinition,
     ViewExpression,
+    answer,
     canonicalize,
+    check_theorem,
     contains,
     equivalent,
     load_network,
     minicon,
     parse_query,
+    render_network,
     rew,
     split_builtins,
     subst,
@@ -361,3 +365,111 @@ def test_rew_output_is_canonical():
     from p2pq import canonicalize
 
     assert out == canonicalize(out)
+
+
+# --- the per-network minicon memo
+
+
+def ring3():
+    """Three peers in a ring, as the chain workload builds them: peer k
+    has R{k}_0, R{k}_1, an identity view of each and the two-hop view
+    j{k}; neighbours map all three views both ways."""
+    peers = [
+        {
+            "id": f"P{k}",
+            "schema": [{"name": f"R{k}_0", "arity": 2}, {"name": f"R{k}_1", "arity": 2}],
+            "views": [
+                {"name": f"i{k}_0", "def": f"i{k}_0(x, y) :- R{k}_0(x, y)"},
+                {"name": f"i{k}_1", "def": f"i{k}_1(x, y) :- R{k}_1(x, y)"},
+                {"name": f"j{k}", "def": f"j{k}(x, z) :- R{k}_0(x, y), R{k}_1(y, z)"},
+            ],
+            "facts": [f"R{k}_0(0, 1)", f"R{k}_1(1, 2)"],
+        }
+        for k in range(3)
+    ]
+    mappings = [
+        {"from_peer": f"P{a}", "from_view": v.format(a), "to_peer": f"P{b}", "to_view": v.format(b)}
+        for a, b in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2))
+        for v in ("i{}_0", "i{}_1", "j{}")
+    ]
+    return json.dumps({"peers": peers, "mappings": mappings})
+
+
+def counting_minicon(monkeypatch):
+    """Replace rewriting.minicon with a wrapper; the returned list gets
+    one (owner, view names, query) key per search made."""
+    searches = []
+    real = rewriting.minicon
+
+    def wrapper(q, views, owner):
+        views = tuple(views)
+        searches.append((owner, tuple(v.name for v in views), q))
+        return real(q, views, owner)
+
+    monkeypatch.setattr(rewriting, "minicon", wrapper)
+    return searches
+
+
+def test_one_minicon_search_per_peer_view_set_and_reduct(monkeypatch):
+    # P0's two interfaces map the same three views, so without the memo
+    # every query P0 elaborates is searched twice
+    text = ring3()
+    q = parse_query("q(x0, x4) :- R0_0(x0, x1), R0_1(x1, x2), R0_0(x2, x3), R0_1(x3, x4)")
+    searches = counting_minicon(monkeypatch)
+    answer(load_network(text), "P0", q)
+    answered = len(searches)
+    assert answered > 0
+    assert answered == len(set(searches))
+
+    searches.clear()
+    assert check_theorem(load_network(text), "P0", q).agrees
+    # the closure reuses every search the agent made on the same network
+    assert len(searches) == len(set(searches))
+    assert len(searches) <= answered
+
+
+def test_rew_with_a_warm_memo_equals_rew_on_a_fresh_network():
+    rng = random.Random(1919)
+    checked = 0
+    for _ in range(30):
+        net = rand_network(rng)
+        text = render_network(net)
+        warm = load_network(text)
+        calls = [
+            (rand_peer_query(rng, net, i), i, j)
+            for (i, j) in net.interfaces
+            for _ in range(3)
+        ]
+        calls += calls[: len(calls) // 2]  # repeats, answered from the memo
+        rng.shuffle(calls)
+        for q, i, j in calls:
+            out = rew(q, warm, i, j)
+            fresh = rew(q, load_network(text), i, j)
+            assert out == fresh, (str(q), i, j)
+            assert str(out) == str(fresh)
+            checked += out is not None
+    assert checked > 50
+
+
+def test_rew_returns_each_caller_its_own_name(monkeypatch):
+    searches = counting_minicon(monkeypatch)
+    net = two_peer()
+    qa = parse_query("qa(x) :- A(x, y), B(y)")
+    qb = parse_query("qb(x) :- A(x, y), B(y)")
+    assert qa == qb  # names take no part in equality
+    out_a = rew(qa, net, "Pi", "Pj")
+    out_b = rew(qb, net, "Pi", "Pj")
+    assert len(searches) == 1  # qb reuses qa's search, psi named qa
+    assert out_a == out_b
+    assert (out_a.name, out_b.name) == ("qa", "qb")
+    assert str(out_b).startswith("qb(")
+
+
+def test_minicon_memo_is_not_part_of_the_network_value():
+    net = two_peer()
+    before = repr(net)
+    rew(parse_query("q(x) :- A(x, y), B(y)"), net, "Pi", "Pj")
+    assert net._minicon
+    assert repr(net) == before
+    assert net == two_peer()
+    assert Network(net.peers, net.interfaces)._minicon == {}
