@@ -5,11 +5,13 @@
     p2pq rewrite <file> --peer ID --target ID --query "..."
     p2pq oracle-check <file> --peer ID --query "..."
 
-Exit codes: 0 success, 1 domain failure (validation error, no such
-peer, theorem mismatch), 2 usage or parse error (bad flags, a file that
-is not UTF-8, malformed JSON, bad query text).  Output is deterministic:
-equal inputs produce byte-identical output.  The environment variable
-P2PQ_STEP_CEILING overrides the agent's fixpoint ceiling.
+Exit codes: 0 success, 1 domain failure (invalid network content, no
+such peer, bad query for the peer, ceiling exceeded, oracle
+disagreement), 2 usage or I/O error (bad flags, an unreadable file, a
+file that is not UTF-8 text, malformed JSON, bad query syntax).  Output
+is deterministic: equal inputs produce byte-identical output.  The
+environment variable P2PQ_STEP_CEILING overrides the agent's fixpoint
+ceiling; a value that is not a positive integer is a domain failure.
 
 Each call builds its parsers from the `_COMMANDS` table.  When argv
 names a command, `main` builds only that command's parser, the one the

@@ -200,8 +200,10 @@ class Network:
         for (i, j), pairs in self.interfaces.items():
             if i == j:
                 raise ValidationError(f"peer {i!r}: self-mappings are not allowed")
-            src = self.peer(i)
-            dst = self.peer(j)
+            try:
+                src, dst = self.peer(i), self.peer(j)
+            except ValidationError as e:
+                raise ValidationError(f"mapping {i!r}->{j!r}: {e}") from e
             for pair in pairs:
                 fv = src.view(pair.from_view)
                 if fv is None:

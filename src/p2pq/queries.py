@@ -547,36 +547,23 @@ def _unplace(member, label):
         label[t] = -2
 
 
-def _cell_vars(ties, group, atoms, label, used, constrained):
-    """Each tied atom's unlabelled variables, by first occurrence, when
-    the tied atoms form a cell; else None, given at the first variable
-    that stops them."""
+def _cell_vars(ties, group, atoms, used, constrained, nv):
+    """Each tie's fresh variables, when the tied atoms form a cell; else
+    None, given at the first tie or variable that stops them."""
     holder = {}
-    out = []
-    for i in ties:
-        mine = []
-        for t in atoms[i]:
-            if type(t) is int:
-                lab = label[t]
-                if lab == -1:
-                    if t not in holder:
-                        if t in constrained:
-                            return None
-                        holder[t] = i
-                        mine.append(t)
-                    elif holder[t] != i:
-                        return None
-                elif lab < -1:
-                    return None
-        if not mine:
+    for i, fresh, placed in ties:
+        if placed or not fresh:
             return None
-        out.append(mine)
+        for t in fresh:
+            if t in constrained or t in holder:
+                return None
+            holder[t] = i
     for j in group:
         if not used[j]:
             for t in atoms[j]:
-                if type(t) is int and holder.get(t, j) != j:
+                if t < nv and holder.get(t, j) != j:
                     return None
-    return out
+    return [fresh for _, fresh, _ in ties]
 
 
 def _canonical_labeling(head_vars, body, builtins):
@@ -593,10 +580,10 @@ def _canonical_labeling(head_vars, body, builtins):
 
     Tied atoms that are interchangeable are emitted as one cell, with
     their order left open.  They form a cell when no tied atom holds an
-    undecided variable, their unlabelled variables are pairwise
-    disjoint, no other unused atom of their predicate holds one of
-    those variables, and no constraint does.  Those tests give up at
-    the first variable that fails them.  The cell fills one depth per
+    undecided variable, each holds an unlabelled variable, those are
+    pairwise disjoint, no other unused atom of their predicate holds one
+    of them, and no constraint does.  Those tests give up at the first
+    tie or variable that fails them.  The cell fills one depth per
     member, with the tie key's fresh labels shifted by f per depth, f
     being the fresh variables per member; the member at position p
     gets the labels base + p*f + offset.  Its variables stay undecided
@@ -611,63 +598,79 @@ def _canonical_labeling(head_vars, body, builtins):
     tie again at a later level, such as equal ``S`` constants told
     apart only by a third predicate, are tried in every order.
 
-    Variables are numbered once as ints, and their labels live in one
-    list.  The search keeps one suspended generator per level of the
-    path on a list, as `match_atoms` keeps its candidate iterators, so
-    long bodies do not recurse.  A level's generator emits one tied
-    atom, or the whole cell, at a time: it sets the labels, yields the
-    next free label, and undoes the emission when resumed.  One flag,
+    Variables are numbered once as ints below nv, the number of
+    variables, and their labels live in one list.  Every key part is an
+    int: a variable's label, or for a constant nv plus its rank in
+    `term_key` order among the constants of the body and the
+    constraints, so keys compare as term keys would.  Scoring an atom is
+    the one reader of the label states: it labels the atom's fresh
+    variables from the next free label, places its undecided members,
+    and undoes both.  A tied atom keeps what it did, its fresh variables
+    and placed members, as a record; the cell test reads the records.
+    The search keeps one suspended generator per level of the path on a
+    list, as `match_atoms` keeps its candidate iterators, so long bodies
+    do not recurse.  A level's generator emits one tied atom, replaying
+    its record, or the whole cell, at a time: it sets the labels, yields
+    the next free label, and undoes the emission when resumed.  One flag,
     set where the path's keys fall under the best leaf's and cleared at
     the next leaf, makes the cut one comparison of a level's keys with
     best's, for an atom and a cell alike, and lets a leaf under best
     win without comparing constraints.
     """
-    # keyed on variable names, whose hashing is native
+    # Each atom's arguments and each constraint's operands as ints:
+    # variable ids, keyed on names, whose hashing is native, and constants
+    # standing in as ~k until ranked, k counting the term_keys seen before
     ids = {v.name: i for i, v in enumerate(head_vars)}
-    atoms = []  # each atom's arguments as variable ids or constant keys
+    cids = {}
+    atoms = []
     # Every emission order lists the atoms sorted by predicate, so the
     # atom emitted at depth d has the d-th predicate in that order, and
     # keys at one depth can leave the predicate out.
     groups: dict[str, list[int]] = {}
     for i, a in enumerate(body):
-        atoms.append([ids.setdefault(t.name, len(ids)) if isinstance(t, Var) else term_key(t) for t in a.args])
+        atoms.append(
+            [
+                ids.setdefault(t.name, len(ids)) if type(t) is Var else cids.setdefault(term_key(t), ~len(cids))
+                for t in a.args
+            ]
+        )
         groups.setdefault(a.predicate, []).append(i)
     scan = [groups[p] for p in sorted([a.predicate for a in body])]
-    constraints = [
-        (b.op, *[ids[t.name] if isinstance(t, Var) else term_key(t) for t in (b.lhs, b.rhs)]) for b in builtins
+    operands = [
+        [ids[t.name] if type(t) is Var else cids.setdefault(term_key(t), ~len(cids)) for t in (b.lhs, b.rhs)]
+        for b in builtins
     ]
-    constrained = {t for c in constraints for t in c[1:] if type(t) is int}
+    nv = len(ids)
+    if cids:
+        # a constant's key part is nv plus its rank in term_key order, so
+        # every key part is an int, and they compare as term_keys do
+        ranks = {cids[k]: r for r, k in enumerate(sorted(cids), nv)}
+        for row in atoms + operands:
+            row[:] = [ranks[t] if t < 0 else t for t in row]
+    constraints = [(b.op, *row) for b, row in zip(builtins, operands)]
     n = len(body)
+    constrained = {t for c in constraints for t in c[1:] if t < nv}
     used = [False] * n
-    slot = [(0, 0, i) for i in range(len(ids))]  # key part of label i
     # label i, or -1 while unlabelled, or -2 while undecided: a variable
     # of a cell member whose position is still open
-    label = [-1] * len(ids)
+    label = [-1] * nv
     label[: len(head_vars)] = range(len(head_vars))
     # an undecided variable's member: its cell [base, f, next free
     # position, each member's variables] and its own variables
-    member_of = [None] * len(ids)
+    member_of = [None] * nv
     keys = []  # the key at each depth of the current path
     cells = []  # the cells on the path
 
     def tries(d, c, ties, cell):
         # the level whose keys start at depth d, c being the next free label
         if cell is None:
-            for i in ties:
+            for i, fresh, placed in ties:  # replay the tie's scored emission
                 used[i] = True
-                fresh = []
-                placed = []
-                e = c
-                for t in atoms[i]:
-                    if type(t) is int and label[t] < 0:
-                        if label[t] == -1:
-                            label[t] = e
-                            e += 1
-                            fresh.append(t)
-                        else:
-                            _place(member_of[t], label)
-                            placed.append(member_of[t])
-                yield e
+                for k, t in enumerate(fresh, c):
+                    label[t] = k
+                for member in placed:
+                    _place(member, label)
+                yield c + len(fresh)
                 used[i] = False
                 for member in placed:
                     _unplace(member, label)
@@ -675,21 +678,18 @@ def _canonical_labeling(head_vars, body, builtins):
                     label[t] = -1
         else:
             # the members' variables stay undecided until placed
-            fresh = []
-            for i, mine in zip(ties, cell[3]):
+            for i, mine, _ in ties:
                 used[i] = True
-                member = (cell, mine)
                 for t in mine:
                     label[t] = -2
-                    member_of[t] = member
-                fresh += mine
+                    member_of[t] = (cell, mine)
             cells.append(cell)
-            yield c + len(fresh)
-            for i in ties:
-                used[i] = False
+            yield c + len(ties) * cell[1]
             cells.pop()
-            for t in fresh:
-                label[t] = -1
+            for i, mine, _ in ties:
+                used[i] = False
+                for t in mine:
+                    label[t] = -1
         del keys[d:]
 
     best = best_constraints = best_label = None  # the best leaf's keys by depth, constraint keys and labels
@@ -706,8 +706,8 @@ def _canonical_labeling(head_vars, body, builtins):
             if d == n:  # a leaf: every atom emitted
                 leaf_constraints = []
                 for op, lhs, rhs in constraints:
-                    lhs = slot[label[lhs]] if type(lhs) is int else lhs
-                    rhs = slot[label[rhs]] if type(rhs) is int else rhs
+                    lhs = label[lhs] if lhs < nv else lhs
+                    rhs = label[rhs] if rhs < nv else rhs
                     # = and != read the same both ways round: order their
                     # operands by the new labels, not by the old names
                     if op in _SYMMETRIC and rhs < lhs:
@@ -716,14 +716,12 @@ def _canonical_labeling(head_vars, body, builtins):
                 leaf_constraints = tuple(sorted(leaf_constraints))
                 if below or leaf_constraints < best_constraints:
                     best, best_constraints, best_label = list(keys), leaf_constraints, list(label)
-                    for base, f, p, variables in cells:  # members never placed, in member order
-                        for mine in variables:
-                            if label[mine[0]] < 0:
-                                lab = base + p * f
-                                p += 1
-                                for t in mine:
-                                    best_label[t] = lab
-                                    lab += 1
+                    # members never placed take the open positions, from
+                    # the next free one, in member order
+                    for base, f, p, variables in cells:
+                        unplaced = [t for mine in variables if label[mine[0]] < 0 for t in mine]
+                        for lab, t in enumerate(unplaced, base + p * f):
+                            best_label[t] = lab
                     below = False  # the path is now best's own
                 continue
             # a new level: score the remaining atoms of its predicate, c
@@ -738,7 +736,7 @@ def _canonical_labeling(head_vars, body, builtins):
                 placed = []
                 e = c
                 for t in atoms[i]:
-                    if type(t) is int:
+                    if t < nv:
                         lab = label[t]
                         if lab < 0:
                             if lab == -1:
@@ -749,24 +747,24 @@ def _canonical_labeling(head_vars, body, builtins):
                                 _place(member_of[t], label)
                                 placed.append(member_of[t])
                                 lab = label[t]
-                        key.append(slot[lab])
-                    else:
-                        key.append(t)
+                        t = lab
+                    key.append(t)
                 for t in fresh:
                     label[t] = -1
                 if placed:
                     for member in placed:
                         _unplace(member, label)
+                # a tie records its emission, which `tries` replays
                 if min_key is None or key < min_key:
-                    min_key, ties = key, [i]
+                    min_key, ties = key, [(i, fresh, placed)]
                 elif key == min_key:
-                    ties.append(i)
+                    ties.append((i, fresh, placed))
             cell = None
-            if len(ties) > 1 and (variables := _cell_vars(ties, group, atoms, label, used, constrained)) is not None:
+            if len(ties) > 1 and (variables := _cell_vars(ties, group, atoms, used, constrained, nv)) is not None:
                 f = len(variables[0])
                 cell = [c, f, 0, variables]
                 for shift in range(0, len(ties) * f, f):
-                    keys.append([p if p[0] or p[2] < c else slot[p[2] + shift] for p in min_key])
+                    keys.append([p if p < c or p >= nv else p + shift for p in min_key])
             else:
                 keys.append(min_key)
             if not below and (part := keys[d:]) > (tail := best[d : len(keys)]):

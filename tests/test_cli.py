@@ -226,6 +226,11 @@ def test_answer_respects_step_ceiling_env(monkeypatch, capsys):
     monkeypatch.setenv("P2PQ_STEP_CEILING", "banana")
     assert main(["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)"]) == 1
     assert "P2PQ_STEP_CEILING" in capsys.readouterr().err
+    # an integer below 1 is refused as well, not taken as a ceiling
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("P2PQ_STEP_CEILING", raw)
+        assert main(["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)"]) == 1
+        assert capsys.readouterr().err == f"error: P2PQ_STEP_CEILING must be a positive integer, got {raw!r}\n"
 
 
 def test_rewrite_outputs_canonical_query(capsys):

@@ -332,6 +332,8 @@ def _set(path, value):
         (_set(("mappings", 0, "via"), "P3"), "mappings[0]: unknown key 'via'"),
         (_set(("mappings", 0, "to_view"), _DELETE), "mappings[0]: missing 'to_view'"),
         (_set(("mappings", 0, "from_peer"), 1), "mappings[0].from_peer: expected a string"),
+        (_set(("mappings", 0, "from_peer"), "P9"), "mapping 'P9'->'P2': unknown peer 'P9'"),
+        (_set(("mappings", 0, "to_peer"), "P9"), "mapping 'P1'->'P9': unknown peer 'P9'"),
         (_set(("peers", 0, "schema", 0, "name"), "1R"), "peer 'P1'.schema[0]: invalid relation name '1R'"),
         (
             _set(("peers", 0, "schema", 0, "arity"), 0),

@@ -215,7 +215,10 @@ def test_closure_equals_agent_fixpoint():
 
 def test_closure_holds_pairwise_inequivalent_canonical_forms():
     # check_theorem compares by equality; that is sound only if each set
-    # holds fixed points of canonicalize, no two of them equivalent
+    # holds fixed points of canonicalize, no two of them equivalent.
+    # Seed 1618 is picked for speed: its 200 instances finish in about
+    # 0.35 s, while at seed 7 instance 87 stalls in minicon's combination
+    # loop for more than 20 s.  Keep it until that search is bounded.
     rng = random.Random(1618)
     for _ in range(200):
         net = rand_network(rng, 2, 4)

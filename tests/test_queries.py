@@ -348,6 +348,15 @@ def test_labeling_agrees_with_reference_on_star_families():
         # each placing its own star first, so they must not form a second
         # cell: w1 and w2 would be ordered apart from y1 and y2.
         "q() :- R(x2, y2), R(x1, y1), RZ(y1, w1), RZ(y2, w2), S(w1, 1), S(w2, 2)",
+        # Constants key by their rank in term_key order: 9 before 10, and
+        # an integer before a string, where their texts order the other
+        # way round.
+        "q() :- R(x, y), S(y, 10), R(u, w), S(w, 9)",
+        "q(x) :- R(x, y), y < 10, R(x, z), z < 9",
+        'q() :- R(x0, y0), S(y0, "10"), R(x1, y1), S(y1, 2)',
+        # The S atoms tie with no variable left to label, so they form no
+        # cell: a cell needs a fresh variable per member.
+        "q() :- R(a, b), S(a), S(a)",
     ],
 )
 def test_labeling_agrees_with_reference_on_ties_around_cells(text):
