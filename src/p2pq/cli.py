@@ -13,12 +13,12 @@ is deterministic: equal inputs produce byte-identical output.  The
 environment variable P2PQ_STEP_CEILING overrides the agent's fixpoint
 ceiling; a value that is not a positive integer is a domain failure.
 
-Each call builds its parsers from the `_COMMANDS` table.  When argv
-names a command, `main` builds only that command's parser, the one the
-full parser would hand the rest of argv to.  The root parser, with all
-four commands, is built only when argv names no command, or to print
-the root's own error for unrecognized arguments; so help and usage
-errors read as they do with all four registered.
+Each call reads the documented shape directly, without argparse: a
+command, the file, then that command's options from the `_COMMANDS`
+table, spelled in full, in any order, each but `--trace` with its value
+as the next argument.  Any other argv (help, `--opt=value`, abbreviated
+options, a value that starts with `-`, and every usage error) goes to
+the full parser, so argparse writes every help and error text.
 """
 
 from __future__ import annotations
@@ -222,39 +222,54 @@ _COMMANDS = {
 }
 
 
-def _command_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    _, handler, options = _COMMANDS[name]
-    parser.add_argument("file")
-    for flag, kwargs in options.items():
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(func=handler)
-    return parser
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2pq",
         description="Query answering over peer-to-peer view mappings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _command_arguments(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("file")
+        for flag, kwargs in options.items():
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(func=handler)
     return parser
 
 
+def _read_documented(argv: list[str]) -> Optional[argparse.Namespace]:
+    """argv's Namespace when argv has the documented shape, as the full
+    parser would build it; None for anything the reader leaves to
+    argparse."""
+    if len(argv) < 2 or argv[0] not in _COMMANDS or argv[1].startswith("-"):
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    given = {}
+    rest = iter(argv[2:])
+    for flag in rest:
+        kwargs = options.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(rest, "-")  # a missing value reads as a flag
+        if value.startswith("-") or value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0], file=argv[1], func=handler)
+    for flag, kwargs in options.items():
+        if flag not in given and kwargs.get("required"):
+            return None
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv's Namespace, as `_build_parser().parse_args(argv)` gives it.
-    The root hands everything after a command name to that command's
-    parser, so a named command needs no other parser unless it leaves
-    arguments over, which the root reports."""
-    if argv and argv[0] in _COMMANDS:
-        name = argv[0]
-        parser = _command_arguments(argparse.ArgumentParser(prog=f"p2pq {name}"), name)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = name
-            return args
-    return _build_parser().parse_args(argv)
+    """argv's Namespace, as `_build_parser().parse_args(argv)` gives it."""
+    args = _read_documented(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

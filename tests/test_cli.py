@@ -8,13 +8,16 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from p2pq import answer, load_network, parse_query
-from p2pq.cli import _build_parser, _parse_args, answer_report_from_dict, cmd_answer, main
+from p2pq.cli import _COMMANDS, _build_parser, _parse_args, answer_report_from_dict, cmd_answer, main
 
 ROOT = Path(__file__).resolve().parent.parent
 TWO_PEER = ROOT / "demos" / "networks" / "two_peer.json"
 NET = str(TWO_PEER)
+QUERY = "q(x) :- A(x, y), B(y)"
 
 # Python 3.11 refuses to convert integer strings past a digit limit
 NEEDS_INT_DIGIT_LIMIT = pytest.mark.skipif(
@@ -95,6 +98,8 @@ ARGPARSE_EXITS = [
     ["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y)", "--bogus"],
     ["rewrite", NET, "--peer", "Pi", "--target"],
     ["oracle-check", NET, "--", "--peer"],
+    ["answer", NET, "--peer", "Pi", "--query", "-q"],
+    ["rewrite", NET, "--peer", "Pi", "--target", "Pj", "--query", QUERY, "--trace"],
 ]
 
 
@@ -107,8 +112,8 @@ def _argparse_exit(parse, argv, capsys):
 
 @pytest.mark.parametrize("argv", ARGPARSE_EXITS, ids=lambda argv: " ".join(argv).replace(NET, "NET"))
 def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
-    # main builds only the named command's parser; what it prints must
-    # not show it
+    # argparse prints these, through the full parser whatever main reads
+    # directly
     full = _build_parser()
     assert all(command in full.format_help() for command in ("validate", "answer", "rewrite", "oracle-check"))
     expected = _argparse_exit(full.parse_args, argv, capsys)
@@ -121,6 +126,7 @@ ACCEPTED = [
     ["answer", NET, "--pe", "Pi", "--query", "q(x) :- A(x, y)"],
     ["answer", "--trace", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y)"],
     ["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y)", "--format=json"],
+    ["answer", NET, "--peer", "Pj", "--query", "q(x) :- A(x, y)", "--peer", "Pi"],
 ]
 
 
@@ -128,10 +134,61 @@ ACCEPTED = [
 def test_a_named_command_parses_as_the_full_parser_does(argv):
     args = _parse_args(argv)
     assert args == _build_parser().parse_args(argv)
-    assert (args.command, args.func) == ("answer", cmd_answer)
+    assert (args.command, args.func, args.peer) == ("answer", cmd_answer, "Pi")
 
 
-def test_a_named_command_builds_one_parser(monkeypatch, capsys):
+VALUES = ("", "x y", "P-1", QUERY, "-1", "--peer", "-q")
+
+
+@st.composite
+def command_lines(draw):
+    """A command's argv: its options in a random subset, order and
+    spelling (full, `--opt=value` or an unambiguous abbreviation), now
+    and then with one fault or a leading option.  Half the draws spell
+    every option in full with a separate value, and whole option sets
+    and plain values are drawn more often, so that many argv lists have
+    the documented shape."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = _COMMANDS[name][2]
+    in_full = draw(st.booleans())
+    count = draw(st.sampled_from([len(options)] * 3 + list(range(len(options)))))
+    pieces = []
+    for flag in draw(st.permutations(sorted(options)))[:count]:
+        others = [other for other in options if other != flag]
+        spelled = flag if in_full else draw(st.sampled_from(
+            [flag] + [flag[:n] for n in range(3, len(flag)) if not any(o.startswith(flag[:n]) for o in others)]))
+        if options[flag].get("action") == "store_true":
+            pieces.append([spelled])
+            continue
+        value = draw(st.sampled_from(options[flag].get("choices", (QUERY, "x y")) * 3 + ("xml",) + VALUES))
+        pieces.append([spelled, value] if in_full or draw(st.booleans()) else [f"{spelled}={value}"])
+    fault = draw(st.sampled_from(["none"] * 10 + ["repeat", "no value", "leftover", "leading", "foreign"]))
+    if fault == "repeat" and pieces:
+        pieces.append(draw(st.sampled_from(pieces)))
+    if fault == "no value" and pieces:
+        pieces[-1] = [pieces[-1][0].partition("=")[0]]
+    if fault == "leftover":
+        pieces.append(["extra"])
+    if fault == "foreign":
+        pieces.append([draw(st.sampled_from(["--trace", "--target", "-h", "--help", "--"]))])
+    leading = pieces.pop(0) if fault == "leading" and pieces else []
+    path = draw(st.sampled_from([NET, "x y", "P-1"]))
+    return [name, *leading, path, *(arg for piece in pieces for arg in piece)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_any_argv_reads_as_the_full_parser_reads_it(argv, capsys):
+    try:
+        expected = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        expected = (exc.code, *capsys.readouterr())
+        assert _argparse_exit(_parse_args, argv, capsys) == expected
+    else:
+        assert _parse_args(argv) == expected
+
+
+def test_the_documented_shape_builds_no_parser(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -141,7 +198,11 @@ def test_a_named_command_builds_one_parser(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["validate", NET]) == 0
-    assert built == ["p2pq validate"]
+    assert main(["answer", NET, "--peer", "Pi", "--query", QUERY]) == 0
+    assert built == []
+    assert main(["answer", NET, "--peer=Pi", "--query", QUERY]) == 0
+    assert built == ["p2pq", "p2pq validate", "p2pq answer", "p2pq rewrite", "p2pq oracle-check"]
+    assert capsys.readouterr().out.count("union: 3 rows\n") == 2
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
