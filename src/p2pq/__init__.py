@@ -40,14 +40,7 @@ from .network import (
     neighbors,
     render_network,
 )
-from .oracle import (
-    DEFAULT_NODE_CEILING,
-    DeductionNode,
-    TheoremReport,
-    check_theorem,
-    expand,
-    weak_closure,
-)
+from .oracle import DEFAULT_NODE_CEILING, TheoremReport, check_theorem, weak_closure
 from .parsing import parse_atom, parse_query
 from .queries import (
     Atom,
@@ -76,7 +69,6 @@ __all__ = [
     "Const",
     "DEFAULT_NODE_CEILING",
     "DEFAULT_STEP_CEILING",
-    "DeductionNode",
     "MappingPair",
     "Network",
     "NetworkSyntaxError",
@@ -102,7 +94,6 @@ __all__ = [
     "contains",
     "equivalent",
     "evaluate",
-    "expand",
     "homomorphisms",
     "join",
     "row_key",

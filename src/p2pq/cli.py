@@ -8,8 +8,9 @@
 Exit codes: 0 success, 1 domain failure (invalid network content, no
 such peer, bad query for the peer, ceiling exceeded, oracle
 disagreement), 2 usage or I/O error (bad flags, an unreadable file, a
-file that is not UTF-8 text, malformed JSON, bad query syntax).  Output
-is deterministic: equal inputs produce byte-identical output.  The
+file that is not UTF-8 text, malformed JSON, bad query syntax, output
+that cannot be written, such as to a closed pipe).  Output is
+deterministic: equal inputs produce byte-identical output.  The
 environment variable P2PQ_STEP_CEILING overrides the agent's fixpoint
 ceiling; a value that is not a positive integer is a domain failure.
 
@@ -109,11 +110,14 @@ def answer_report_from_dict(doc: dict) -> AnswerReport:
 
 
 def _load(path: str) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return load_network(fh.read())
-        except UnicodeDecodeError as e:
-            raise NetworkSyntaxError(f"{path!r} is not UTF-8 text: {e}") from e
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise NetworkSyntaxError(f"{path!r} is not UTF-8 text: {e}") from e
+    except OSError as e:
+        raise _UsageError(f"cannot read {path!r}: {e.strerror}") from e
+    return load_network(text)
 
 
 def _step_ceiling() -> int:
@@ -272,17 +276,32 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args if args is not None else _build_parser().parse_args(argv)
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    interpreter exit drops what is still buffered instead of failing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor: nothing is flushed at exit
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
     except (_UsageError, NetworkSyntaxError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as e:
-        print(f"error: cannot read {getattr(e, 'filename', args.file)!r}: {e.strerror}", file=sys.stderr)
+    except OSError as e:  # _load reports its own; this is a write to stdout
+        print(f"error: cannot write output: {e.strerror}", file=sys.stderr)
+        _discard_stdout()
         return EXIT_USAGE
     except P2pqError as e:
         print(f"error: {e}", file=sys.stderr)

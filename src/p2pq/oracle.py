@@ -1,19 +1,17 @@
 """Weak-deduction oracle: a second traversal that certifies the agent.
 
-Instead of queue pointers, this module grows a deduction tree by
-breadth-first search: a node is a (peer, query) pair, its children are
-the one-step rewritings toward each neighbor, and EMPTY children are
-kept as explicit leaves.  The closure is the memo of visited (peer,
-canonical query) pairs, grouped by peer; it makes the tree finite
-whenever the reachable query space is.
+Instead of queue pointers, this module runs one breadth-first search
+over (peer, canonical query) pairs, skipping each EMPTY rewriting and
+each pair already reached.  The closure is the set of reached pairs,
+grouped by peer; it is finite whenever the reachable query space is.
 
-What is its own is the traversal and the dedupe: it keeps no queues or
-pointers and checks duplicates against its memo.  What it shares with
-the agent is the one-hop step: it calls the same `rew`, which reads the
-same per-network memo of minicon searches, so a search the agent made
-is not made again.  subst, unfold and the constraint check still run
-for each neighbor on every call.  A fault inside `rew` therefore shows
-on both sides alike and passes this check.
+What is its own is the traversal and the dedupe: it keeps no per-peer
+queues or pointers and checks duplicates against the reached pairs.
+What it shares with the agent is the one-hop step: it calls the same
+`rew`, which reads the same per-network memo of minicon searches, so a
+search the agent made is not made again.  subst, unfold and the
+constraint check still run for each neighbor on every call.  A fault
+inside `rew` therefore shows on both sides alike and passes this check.
 
 check_theorem compares the closure with the agent's fixpoint peer by
 peer.  Both sides hold canonical forms, which are cores with a minimum
@@ -25,10 +23,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 from .agent import DEFAULT_STEP_CEILING, run
-from .errors import CeilingError, QueryError
+from .errors import CeilingError
 from .network import Network, neighbors
 from .queries import (
     ConjunctiveQuery,
@@ -39,9 +36,7 @@ from .rewriting import rew
 
 __all__ = [
     "DEFAULT_NODE_CEILING",
-    "DeductionNode",
     "TheoremReport",
-    "expand",
     "weak_closure",
     "check_theorem",
 ]
@@ -50,24 +45,15 @@ DEFAULT_NODE_CEILING = 10**5
 
 
 @dataclass(frozen=True, slots=True)
-class DeductionNode:
-    """A peer paired with a derived query; query None marks EMPTY."""
-
-    peer: str
-    query: Optional[ConjunctiveQuery]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.query is None
-
-
-@dataclass(frozen=True, slots=True)
 class TheoremReport:
-    """Outcome of the agent-vs-closure comparison."""
+    """The (peer, query) pairs that only the agent or only the closure holds."""
 
-    agrees: bool
     only_in_agent: tuple[tuple[str, ConjunctiveQuery], ...]
     only_in_closure: tuple[tuple[str, ConjunctiveQuery], ...]
+
+    @property
+    def agrees(self) -> bool:
+        return not self.only_in_agent and not self.only_in_closure
 
     def __str__(self) -> str:
         if self.agrees:
@@ -80,43 +66,34 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def expand(net: Network, node: DeductionNode) -> list[DeductionNode]:
-    """Children of a non-EMPTY node: one per neighbor of its peer, in
-    declaration order, with EMPTY rewritings kept as markers."""
-    if node.is_empty:
-        raise QueryError("cannot expand an EMPTY deduction node")
-    return [
-        DeductionNode(j, rew(node.query, net, node.peer, j))
-        for j in neighbors(net, node.peer)
-    ]
-
-
 def weak_closure(
     net: Network,
     origin: str,
     q: ConjunctiveQuery,
     node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> dict[str, frozenset[ConjunctiveQuery]]:
-    """Everything derivable from q at the origin peer: breadth-first
-    expansion over rewritings, memoized on (peer, canonical query).  The
-    memo is the result: it maps every peer, in declaration order, to its
-    derived set of canonical forms (possibly empty).  `rew` returns
-    canonical forms, so equal keys are exactly equivalent queries."""
+    """Everything derivable from q at the origin peer: each popped pair
+    is rewritten toward its peer's neighbors in declaration order.  The
+    result maps every peer, in declaration order, to its reached set of
+    canonical forms (possibly empty).  `rew` returns canonical forms, so
+    equal queries are exactly equivalent ones."""
     net.peer(origin).require_base(q)
-    root = DeductionNode(origin, canonicalize(q))
+    root = canonicalize(q)
     closure: dict[str, set[ConjunctiveQuery]] = {pid: set() for pid in net.peer_ids()}
-    closure[origin].add(root.query)
+    closure[origin].add(root)
     size = 1
-    frontier = deque([root])
+    frontier = deque([(origin, root)])
     while frontier:
         if size > node_ceiling:
             raise CeilingError(f"closure ceiling exceeded ({node_ceiling} nodes)")
-        for child in expand(net, frontier.popleft()):
-            if child.is_empty or child.query in closure[child.peer]:
+        peer, query = frontier.popleft()
+        for j in neighbors(net, peer):
+            child = rew(query, net, peer, j)
+            if child is None or child in closure[j]:
                 continue
-            closure[child.peer].add(child.query)
+            closure[j].add(child)
             size += 1
-            frontier.append(child)
+            frontier.append((j, child))
     return {pid: frozenset(qs) for pid, qs in closure.items()}
 
 
@@ -139,4 +116,4 @@ def check_theorem(
         a, c = agent_sets[pid], closure_sets[pid]
         only_agent.extend((pid, qa) for qa in sorted(a - c, key=str))
         only_closure.extend((pid, qc) for qc in sorted(c - a, key=str))
-    return TheoremReport(not only_agent and not only_closure, tuple(only_agent), tuple(only_closure))
+    return TheoremReport(tuple(only_agent), tuple(only_closure))

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import errno
 import json
 import os
 import shlex
@@ -75,6 +77,44 @@ def test_validate_invalid_content_is_domain_error(tmp_path, capsys):
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/net.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_unreadable_path_is_named(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {str(tmp_path)!r}: Is a directory\n"
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_closed_output_pipe_is_a_write_error(capsys):
+    # a failed write is not a failed read of the network file
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        assert main(["answer", NET, "--peer", "Pi", "--query", QUERY]) == 2
+    assert capsys.readouterr().err == "error: cannot write output: Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_output_pipe_through_the_interpreter(unbuffered):
+    # the pipe has no reader, so the child's first write to stdout fails,
+    # whether print makes it or the final flush does; nothing may fail
+    # again at interpreter exit
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "p2pq.cli", "answer", NET, "--peer", "Pi", "--query", QUERY],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"error: cannot write output: Broken pipe\n")
 
 
 def test_missing_subcommand_exits_2():

@@ -289,6 +289,7 @@ def test_relation_arity_positive():
 
 _DELETE = object()
 _VIEW = {"name": "v", "def": "v(x) :- R(x, y)"}
+_MAPPING = {"from_peer": "P1", "from_view": "v", "to_peer": "P2", "to_view": "w"}
 
 
 def _set(path, value):
@@ -341,6 +342,22 @@ def _set(path, value):
         ),
         (_set(("peers", 0, "id"), ""), "peers[0]: invalid peer id ''"),
         (_set(("peers", 0, "views"), [_VIEW, _VIEW]), "peer 'P1': duplicate view 'v'"),
+        # faults past the first entry name that entry
+        (_set(("peers", 1, "id"), _DELETE), "peers[1]: missing 'id'"),
+        (_set(("peers", 1, "schema", 0, "arity"), _DELETE), "peer 'P2'.schema[0]: needs 'name' and 'arity'"),
+        (
+            _set(("peers", 0, "schema"), [{"name": "R", "arity": 2}, {"name": "T"}]),
+            "peer 'P1'.schema[1]: needs 'name' and 'arity'",
+        ),
+        (_set(("peers", 0, "views"), [_VIEW, {"name": "u"}]), "peer 'P1'.views[1]: needs 'name' and 'def'"),
+        (
+            _set(("peers", 0, "views"), [_VIEW, {"name": "u", "def": "u(x) :- R(x, %)"}]),
+            "peer 'P1', view 'u': line 1, column 14: unexpected character '%'",
+        ),
+        (
+            _set(("mappings",), [_MAPPING, {"from_peer": "P2", "from_view": "w", "to_peer": "P1"}]),
+            "mappings[1]: missing 'to_view'",
+        ),
     ],
 )
 def test_load_rejects_each_malformed_part_with_its_message(change, message):

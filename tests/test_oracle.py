@@ -9,13 +9,11 @@ import p2pq.oracle
 from p2pq import (
     AgentResult,
     CeilingError,
-    DeductionNode,
     QueryError,
     TheoremReport,
     canonicalize,
     check_theorem,
     evaluate,
-    expand,
     load_network,
     new_agent,
     parse_query,
@@ -35,43 +33,6 @@ def two_peer():
 
 
 Q_I = parse_query("q(x) :- A(x, y), B(y)")
-
-
-def test_expand_children_per_neighbor():
-    net = two_peer()
-    root = DeductionNode("Pi", canonicalize(Q_I))
-    children = expand(net, root)
-    assert [c.peer for c in children] == ["Pj"]
-    assert children[0].query == parse_query("q(v0) :- C(v0, v1), D(v1)")
-
-
-def test_expand_keeps_empty_markers():
-    net = two_peer()
-    node = DeductionNode("Pi", canonicalize(parse_query("q(x) :- E(x)")))
-    children = expand(net, node)
-    assert len(children) == 1
-    assert children[0].is_empty
-
-
-def test_expand_rejects_empty_node():
-    with pytest.raises(QueryError):
-        expand(two_peer(), DeductionNode("Pi", None))
-
-
-def test_expand_isolated_peer_has_no_children():
-    doc = {
-        "peers": [
-            {
-                "id": "P1",
-                "schema": [{"name": "R", "arity": 1}],
-                "views": [{"name": "v", "def": "v(x) :- R(x)"}],
-                "facts": [],
-            }
-        ],
-        "mappings": [],
-    }
-    net = load_network(json.dumps(doc))
-    assert expand(net, DeductionNode("P1", canonicalize(parse_query("q(x) :- R(x)")))) == []
 
 
 def test_weak_closure_drops_empty_children():
@@ -187,7 +148,8 @@ def test_check_theorem_two_peer():
 
 def test_theorem_report_rendering_on_disagreement():
     q = canonicalize(Q_I)
-    report = TheoremReport(False, (("Pi", q),), ())
+    report = TheoremReport((("Pi", q),), ())
+    assert not report.agrees
     text = str(report)
     assert "differ" in text
     assert "only agent has" in text
