@@ -20,6 +20,11 @@ table, spelled in full, in any order, each but `--trace` with its value
 as the next argument.  Any other argv (help, `--opt=value`, abbreviated
 options, a value that starts with `-`, and every usage error) goes to
 the full parser, so argparse writes every help and error text.
+
+Help written to a closed pipe is an output that cannot be written, exit
+2, as any other output is.  With PYTHONUNBUFFERED set the write happens
+inside argparse, which drops a failed write itself, so help then exits
+0 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Optional
 
 from .agent import DEFAULT_STEP_CEILING, trace as agent_trace
 from .answers import AnswerReport, TupleSet, answer, assemble_report, row_key
-from .errors import NetworkSyntaxError, P2pqError, ParseError, QueryError
+from .errors import NetworkSyntaxError, P2pqError, ParseError, QueryError, ValidationError
 from .network import Network, load_network
 from .oracle import check_theorem
 from .parsing import parse_query
@@ -95,18 +100,48 @@ def answer_report_to_dict(report: AnswerReport, trace_steps=None) -> dict:
     return doc
 
 
+_JSON_KINDS = {str: "a string", list: "an array", dict: "an object", int: "a non-negative integer"}
+
+
+def _field(doc, key: str, where: str, kind: type):
+    """doc[key], which must be a `kind`; doc is the part at `where`."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: expected an object")
+    if key not in doc:
+        raise ValidationError(f"{where}: missing {key!r}")
+    if not isinstance(doc[key], kind):
+        raise ValidationError(f"{where}.{key}: expected {_JSON_KINDS[kind]}")
+    return doc[key]
+
+
+def _tuple_set(entry, where: str, arity: int) -> TupleSet:
+    rows = _field(entry, "rows", where, list)
+    for k, row in enumerate(rows):
+        if not isinstance(row, list) or any(type(v) not in (int, str) for v in row):
+            raise ValidationError(f"{where}.rows[{k}]: expected an array of integers and strings")
+    try:
+        return TupleSet(arity, frozenset(map(tuple, rows)))
+    except QueryError as e:  # a row of another arity
+        raise ValidationError(f"{where}.rows: {e}") from e
+
+
 def answer_report_from_dict(doc: dict) -> AnswerReport:
     """Rebuild an AnswerReport from its JSON form (inverse of
-    answer_report_to_dict, ignoring any trace)."""
-    query = parse_query(doc["query"])
-    arity = doc["union"]["arity"]
+    answer_report_to_dict, ignoring any trace).  A document of another
+    shape raises ValidationError naming the part, and a query text that
+    does not parse raises what parse_query raises."""
+    query = parse_query(_field(doc, "query", "report", str))
+    union = _field(doc, "union", "report", dict)
+    arity = _field(union, "arity", "report.union", int)
+    if type(arity) is not int or arity < 0:  # a JSON true is an int to isinstance
+        raise ValidationError("report.union.arity: expected a non-negative integer")
     per_peer = {}
-    for pid, entry in doc["peers"].items():
-        queries = frozenset(parse_query(text) for text in entry["queries"])
-        rows = frozenset(tuple(r) for r in entry["rows"])
-        per_peer[pid] = (queries, TupleSet(arity, rows))
-    union = TupleSet(arity, frozenset(tuple(r) for r in doc["union"]["rows"]))
-    return AnswerReport(doc["origin"], query, per_peer, union)
+    for pid, entry in _field(doc, "peers", "report", dict).items():
+        where = f"report.peers[{pid!r}]"
+        queries = frozenset(parse_query(text) for text in _field(entry, "queries", where, list))
+        per_peer[pid] = (queries, _tuple_set(entry, where, arity))
+    union_rows = _tuple_set(union, "report.union", arity)
+    return AnswerReport(_field(doc, "origin", "report", str), query, per_peer, union_rows)
 
 
 def _load(path: str) -> Network:
@@ -291,8 +326,12 @@ def _discard_stdout() -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_args(argv)
     try:
+        try:
+            args = _parse_args(argv)
+        except SystemExit:  # argparse wrote help or a usage error
+            sys.stdout.flush()  # help to a closed pipe fails here, not at exit
+            raise
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return status

@@ -16,7 +16,7 @@ import re
 import string
 from typing import NoReturn, Optional
 
-from .errors import ParseError
+from .errors import ParseError, QueryError
 from .queries import Atom, BuiltinAtom, ConjunctiveQuery, Const, Term, Var
 
 __all__ = ["parse_query", "parse_atom"]
@@ -67,6 +67,8 @@ def tokenize(text: str) -> tuple[list[str], list[str]]:
 
 class _Parser:
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise QueryError(f"not a string: {text!r}")
         self.text = text
         self.kinds, self.texts = tokenize(text)
         self.pos = 0
@@ -171,12 +173,14 @@ class _Parser:
 
 def parse_query(text: str) -> ConjunctiveQuery:
     """Parse query text; raises ParseError with line/column on bad input
-    and QueryError when the parsed query violates a query invariant."""
+    and QueryError when text is not a string or the parsed query
+    violates a query invariant."""
     return _Parser(text).query()
 
 
 def parse_atom(text: str) -> Atom:
-    """Parse a single atom such as a fact ``A(1, "x")``."""
+    """Parse a single atom such as a fact ``A(1, "x")``; raises the
+    errors parse_query does."""
     parser = _Parser(text)
     atom = parser.atom()
     parser.expect("EOF", "end of atom")

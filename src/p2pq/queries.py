@@ -23,6 +23,7 @@ interval reasoning is attempted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -136,7 +137,9 @@ def atom_key(a: Atom) -> tuple:
     return (a.predicate, len(a.args), tuple(term_key(t) for t in a.args))
 
 
-_COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# each comparison operator and its meaning on two constants of one type
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _FLIP = {">": "<", ">=": "<="}
 _SYMMETRIC = ("=", "!=")
 
@@ -145,22 +148,10 @@ def compare_constants(op: str, a: Union[int, str], b: Union[int, str]) -> bool:
     """Ground comparison semantics: integers numerically, strings
     lexicographically; comparisons across types are false, except !=
     which is true."""
-    same_type = type(a) is type(b)
-    if op == "=":
-        return same_type and a == b
-    if op == "!=":
-        return (not same_type) or a != b
-    if not same_type:
-        return False
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise QueryError(f"unknown comparison operator {op!r}")
+    compare = _COMPARISONS.get(op)
+    if compare is None:
+        raise QueryError(f"unknown comparison operator {op!r}")
+    return compare(a, b) if type(a) is type(b) else op == "!="
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +169,7 @@ class BuiltinAtom:
     rhs: Term
 
     def __post_init__(self):
-        if self.op not in _COMPARISON_OPS:
+        if self.op not in _COMPARISONS:
             raise QueryError(f"unknown comparison operator {self.op!r}")
         op, lhs, rhs = self.op, self.lhs, self.rhs
         for t in (lhs, rhs):
@@ -270,16 +261,14 @@ class ConjunctiveQuery:
                     raise QueryError(f"unsafe constraint {b}: variable {v} not bound in body")
 
     def variables(self) -> tuple[Var, ...]:
-        """All variables in first-occurrence order: head, then body, then
-        constraints."""
+        """All variables in first-occurrence order: head, then body.  A
+        constraint adds none: construction rejects a constraint variable
+        that no body atom binds."""
         seen: dict[Var, None] = {}
         for v in self.head_vars:
             seen.setdefault(v)
         for a in self.body:
             for v in a.variables():
-                seen.setdefault(v)
-        for b in self.builtins:
-            for v in b.variables():
                 seen.setdefault(v)
         return tuple(seen)
 

@@ -80,16 +80,21 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
     did maps unfold(psi) into q: unfold(psi) always contains q.  psi is
     equivalent to q iff q also contains unfold(psi).
 
-    Combinations are pruned by subgoal coverage first.  Each candidate
-    carries the set of q's body atoms that the images of its folds
-    cover; a combination's cover m is the union of its candidates'.  A
-    combination is skipped unless m is all of q's body or q maps into
-    its own sub-body q[m] (one test per distinct m).  This loses no
-    answer: if psi is equivalent to q, a homomorphism g from q into
-    unfold(psi), followed by the map f from unfold(psi) into q that
-    sends each instance where its fold sent it, is an endomorphism of q
-    fixing the head whose image lies in q[m].  So the first hit is the
-    same as without pruning.
+    The candidates form one table of (view atom, mask) records, sorted
+    by atom.  With n distinct atoms in q's body, the low n bits of a
+    mask are the body atoms that the images of the atom's folds cover,
+    and the bits above them are the head variables among its arguments.
+    A combination's mask is the OR of its records' masks: it needs every
+    head bit, and its low bits are its cover m.
+
+    Combinations are pruned by subgoal coverage first.  A combination is
+    skipped unless m is all of q's body or q maps into its own sub-body
+    q[m] (one test per distinct mask).  This loses no answer: if psi is
+    equivalent to q, a homomorphism g from q into unfold(psi), followed
+    by the map f from unfold(psi) into q that sends each instance where
+    its fold sent it, is an endomorphism of q fixing the head whose
+    image lies in q[m].  So the first hit is the same as without
+    pruning.
 
     A core makes no such test.  At the first cover short of the full
     body, one search for an endomorphism whose image is smaller than
@@ -105,57 +110,47 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
     bits: dict[tuple, int] = {}  # (predicate, args) of each distinct atom of q's body -> its bit
     for a in q.body:
         bits.setdefault((a.predicate, a.args), 1 << len(bits))
-    covers: dict[tuple, int] = {}  # (view name, args) of a candidate -> bits its folds' images cover
+    n = len(bits)
+    head_bit = {v: 1 << (n + k) for k, v in enumerate(q.head_vars)}
+    masks: dict[tuple, int] = {}  # (view name, args) of a folded view atom -> its mask
     views = tuple(views)
     for view in views:
         defn = view.definition
         for theta in match_atoms(defn.body, q.body, {}):
-            m = 0
+            args = tuple(theta[v] for v in defn.head_vars)
+            m = masks.get((view.name, args), 0)
+            for t in args:
+                m |= head_bit.get(t, 0)
             for b in defn.body:
                 m |= bits[b.predicate, tuple(theta[t] if isinstance(t, Var) else t for t in b.args)]
-            key = (view.name, tuple(theta[v] for v in defn.head_vars))
-            covers[key] = covers.get(key, 0) | m
-    candidates = sorted((Atom(name, args) for name, args in covers), key=atom_key)
+            masks[view.name, args] = m
+    table = sorted(((Atom(name, args), m) for (name, args), m in masks.items()),
+                   key=lambda record: atom_key(record[0]))
 
-    head_bit = {v: 1 << k for k, v in enumerate(q.head_vars)}
-    all_heads = (1 << len(q.head_vars)) - 1
-    heads = []
-    cover = []
-    for c in candidates:
-        h = 0
-        for t in c.args:
-            h |= head_bit.get(t, 0)
-        heads.append(h)
-        cover.append(covers[c.predicate, c.args])
-    full = (1 << len(bits)) - 1
-    folds_into = {full: True}  # cover m -> does q map into q[m]
-    core = None  # is q a core; decided at the first mask short of full
-    for size in range(1, min(len(q.body), len(candidates)) + 1):
-        for combo in itertools.combinations(range(len(candidates)), size):
-            h = m = 0
-            for i in combo:
-                h |= heads[i]
-                m |= cover[i]
-            if h != all_heads:
+    full = (1 << n) - 1
+    need = (1 << (n + len(q.head_vars))) - 1
+    memo = {need: True}  # mask -> does q map into q[m]
+    core = None  # is q a core; decided at the first mask short of need
+    for size in range(1, min(len(q.body), len(table)) + 1):
+        for combo in itertools.combinations(table, size):
+            mask = 0
+            for _, m in combo:
+                mask |= m
+            if mask | full != need:
                 continue
-            ok = folds_into.get(m)
+            ok = memo.get(mask)
             if ok is None:
                 if core is None:
-                    core = _smaller_image(q, len(bits)) is None
-                if core:  # a core folds into none of its proper sub-bodies
-                    ok = False
-                else:
-                    # q[m] is safe: a view's head variables occur in its body,
-                    # so each candidate's args occur in its folds' images
-                    sub = tuple(a for a in q.body if bits[a.predicate, a.args] & m)
-                    ok = contains(q, ConjunctiveQuery(q.name, q.head_vars, sub, ()))
-                folds_into[m] = ok
-            if not ok:
-                continue
-            body = tuple(candidates[i] for i in combo)
-            psi = ViewExpression(ConjunctiveQuery(q.name, q.head_vars, body, ()), owner)
-            if contains(q, unfold(psi, views)):
-                return psi
+                    core = _smaller_image(q, n) is None
+                # a core folds into none of its proper sub-bodies.  q[m] is
+                # safe: a view's head variables occur in its body, so each
+                # candidate's args occur in its folds' images
+                ok = memo[mask] = not core and contains(q, ConjunctiveQuery(
+                    q.name, q.head_vars, tuple(a for a in q.body if bits[a.predicate, a.args] & mask), ()))
+            if ok:
+                psi = ViewExpression(ConjunctiveQuery(q.name, q.head_vars, tuple(a for a, _ in combo), ()), owner)
+                if contains(q, unfold(psi, views)):
+                    return psi
     return None
 
 

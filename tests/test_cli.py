@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from p2pq import answer, load_network, parse_query
+from p2pq import ValidationError, answer, load_network, parse_query
 from p2pq.cli import _COMMANDS, _build_parser, _parse_args, answer_report_from_dict, cmd_answer, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,11 +96,17 @@ def test_closed_output_pipe_is_a_write_error(capsys):
     assert capsys.readouterr().err == "error: cannot write output: Broken pipe\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["answer", NET, "--peer", "Pi", "--query", QUERY],
+    ["--help"],
+    ["answer", "--help"],
+], ids=["answer", "help", "answer-help"])
 @pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_output_pipe_through_the_interpreter(unbuffered):
+def test_closed_output_pipe_through_the_interpreter(unbuffered, argv):
     # the pipe has no reader, so the child's first write to stdout fails,
     # whether print makes it or the final flush does; nothing may fail
-    # again at interpreter exit
+    # again at interpreter exit.  Unbuffered, help is written inside
+    # argparse, which drops the failed write and exits 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -109,12 +115,15 @@ def test_closed_output_pipe_through_the_interpreter(unbuffered):
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "p2pq.cli", "answer", NET, "--peer", "Pi", "--query", QUERY],
+            [sys.executable, "-m", "p2pq.cli", *argv],
             env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
         )
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (2, b"error: cannot write output: Broken pipe\n")
+    if unbuffered and "--help" in argv:
+        assert (proc.returncode, proc.stderr) == (0, b"")
+    else:
+        assert (proc.returncode, proc.stderr) == (2, b"error: cannot write output: Broken pipe\n")
 
 
 def test_missing_subcommand_exits_2():
@@ -274,6 +283,55 @@ def test_answer_json_round_trips(capsys):
     net = load_network(TWO_PEER.read_text())
     direct = answer(net, "Pi", parse_query("q(x) :- A(x, y), B(y)"))
     assert rebuilt == direct
+
+
+REPORT = {
+    "origin": "Pi",
+    "query": "q(x) :- A(x, y)",
+    "peers": {"Pi": {"queries": ["q(x) :- A(x, y)"], "rows": [[1]]}},
+    "union": {"arity": 1, "rows": [[1]]},
+}
+
+
+DELETE = object()
+
+
+def _report_with(path, value):
+    """A copy of REPORT with the part at `path` set to value, or deleted
+    when value is DELETE."""
+    doc = json.loads(json.dumps(REPORT))
+    *parents, key = path
+    part = doc
+    for p in parents:
+        part = part[p]
+    if value is DELETE:
+        del part[key]
+    else:
+        part[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "report: expected an object"),
+    ({}, "report: missing 'query'"),
+    (_report_with(["query"], 5), "report.query: expected a string"),
+    (_report_with(["union"], []), "report.union: expected an object"),
+    (_report_with(["union", "arity"], DELETE), "report.union: missing 'arity'"),
+    (_report_with(["union", "arity"], "1"), "report.union.arity: expected a non-negative integer"),
+    (_report_with(["union", "arity"], True), "report.union.arity: expected a non-negative integer"),
+    (_report_with(["union", "rows"], [[1, [2]]]), "report.union.rows[0]: expected an array of integers and strings"),
+    (_report_with(["union", "rows"], [1]), "report.union.rows[0]: expected an array of integers and strings"),
+    (_report_with(["union", "rows"], [[1, 2]]), "report.union.rows: row (1, 2) does not have arity 1"),
+    (_report_with(["peers"], []), "report.peers: expected an object"),
+    (_report_with(["peers", "Pi"], 7), "report.peers['Pi']: expected an object"),
+    (_report_with(["peers", "Pi", "rows"], DELETE), "report.peers['Pi']: missing 'rows'"),
+    (_report_with(["origin"], DELETE), "report: missing 'origin'"),
+])
+def test_a_report_of_another_shape_is_a_validation_error(doc, message):
+    assert answer_report_from_dict(REPORT).origin == "Pi"
+    with pytest.raises(ValidationError) as err:
+        answer_report_from_dict(doc)
+    assert str(err.value) == message
 
 
 def test_answer_trace_flag(capsys):

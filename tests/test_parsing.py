@@ -16,6 +16,7 @@ from p2pq import (
     ConjunctiveQuery,
     Const,
     ParseError,
+    QueryError,
     Var,
     load_network,
     parse_atom,
@@ -185,6 +186,19 @@ def test_parse_error_on_trailing_garbage():
 def test_parse_error_on_empty_body():
     with pytest.raises(ParseError):
         parse_query("q(x) :- ")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_query, 5),
+    (parse_query, None),
+    (parse_query, b"q(x) :- A(x)"),
+    (parse_atom, None),
+    (parse_atom, ["A(1)"]),
+])
+def test_parsing_anything_but_a_string_is_a_query_error(parse, text):
+    with pytest.raises(QueryError) as err:
+        parse(text)
+    assert str(err.value) == f"not a string: {text!r}"
 
 
 def test_parse_multiline_positions():

@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 
@@ -60,6 +61,21 @@ def test_compare_constants_greater():
     compare = queries_module.compare_constants
     assert compare(">", 2, 1) and not compare(">", 1, 1) and not compare(">", "b", 1)
     assert compare(">=", 1, 1) and compare(">=", "b", "a") and not compare(">=", 0, 1)
+
+
+@pytest.mark.parametrize("op, python_op", [
+    ("=", operator.eq), ("!=", operator.ne), ("<", operator.lt),
+    ("<=", operator.le), (">", operator.gt), (">=", operator.ge),
+])
+def test_compare_constants_is_pythons_within_a_type_and_only_not_equal_across(op, python_op):
+    # evaluate and the nested-loop oracle both read this one function
+    compare = queries_module.compare_constants
+    same_type = [(a, b) for a in (-1, 0, 2) for b in (-1, 0, 2)]
+    same_type += [(a, b) for a in ("", "a", "b") for b in ("", "a", "b")]
+    for a, b in same_type:
+        assert compare(op, a, b) is python_op(a, b), (a, op, b)
+    for a, b in [(0, "0"), ("0", 0), (1, "a"), ("a", 1)]:
+        assert compare(op, a, b) is (op == "!="), (a, op, b)
 
 
 def test_match_atoms_of_no_atoms_yields_the_start_once():

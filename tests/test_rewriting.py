@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from p2pq import (
+    Atom,
+    ConjunctiveQuery,
     MappingPair,
     Network,
     QueryError,
@@ -25,6 +27,7 @@ from p2pq import (
     split_builtins,
     subst,
     unfold,
+    Var,
 )
 from p2pq import rewriting
 from generators import rand_network, rand_peer_query
@@ -247,6 +250,56 @@ def test_minicon_containment_work_on_the_boolean_3_clique(monkeypatch):
     psi = minicon(q, views("r(x, y) :- R(x, y)", "s(x, z) :- R(x, y), R(y, z)"), "P0")
     assert str(psi.query) == "q() :- r(x0, x1), r(x0, x2), r(x1, x0), r(x1, x2), r(x2, x0), r(x2, x1)"
     assert calls == 2234
+
+
+def test_minicon_tests_each_cover_of_a_non_core_once(monkeypatch):
+    # R(x, z) folds into R(x, y), so q is not a core and its short covers
+    # are tested; r and t fold onto the same atoms, so each of their
+    # masks comes twice and is tested once: the sub-bodies {R(x, y)},
+    # {R(x, z)}, {R(x, y), R(x, z)} and {R(x, y), S(y)}, then one test of
+    # the hit's unfolding
+    calls = []
+
+    def counting(general, specific):
+        calls.append(specific)
+        return contains(general, specific)
+
+    monkeypatch.setattr(rewriting, "contains", counting)
+    q = parse_query("q(x) :- R(x, y), R(x, z), S(y)")
+    defs = views("r(x, y) :- R(x, y)", "s(y) :- S(y)", "t(x, y) :- R(x, y)")
+    psi = minicon(q, defs, "P")
+    assert str(psi.query) == "q(x) :- r(x, y), s(y)"
+    assert [str(c) for c in calls] == [
+        "q(x) :- R(x, y)",
+        "q(x) :- R(x, z)",
+        "q(x) :- R(x, y), R(x, z)",
+        "q(x) :- R(x, y), S(y)",
+        "q(x) :- R(x, y), S(y)",
+    ]
+
+
+def test_minicon_agrees_with_reference_on_non_cores():
+    # a copy of a body atom with one non-head variable renamed fresh
+    # folds back onto the atom, so every q here is not a core
+    rng = random.Random(2323)
+    checked = found = 0
+    while checked < 200:
+        net = rand_network(rng, 2, 3)
+        peer = rng.choice(net.peers)
+        q, _ = split_builtins(rand_peer_query(rng, net, peer.id, builtin_prob=0.0))
+        atom = rng.choice(q.body)
+        free = [v for v in dict.fromkeys(atom.variables()) if v not in q.head_vars]
+        if not free:
+            continue
+        old = rng.choice(free)
+        copy = Atom(atom.predicate, tuple(Var("fresh") if t == old else t for t in atom.args))
+        q = ConjunctiveQuery(q.name, q.head_vars, q.body + (copy,), ())
+        assert len(canonicalize(q).body) < len(q.body), str(q)
+        mine = minicon(q, peer.views, peer.id)
+        assert mine == reference_minicon(q, peer.views, peer.id), f"{q} over {peer.id}"
+        checked += 1
+        found += mine is not None
+    assert 0 < found < checked
 
 
 def test_subst_translates_each_view():
