@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import CeilingError, QueryError, ValidationError
+from .errors import CeilingError, ValidationError
 from .network import Network, neighbors
 # contains and equivalent are unused here; perfbench's tracer wraps
 # agent.contains and agent.equivalent
@@ -106,6 +106,8 @@ def new_agent(net: Network, origin: str, q: ConjunctiveQuery) -> AgentState:
 
 
 def _elaborate(net: Network, state: AgentState, index: int) -> tuple[AgentState, TraceStep]:
+    """Elaborate the first pending query; the caller has checked that
+    `state` is not finished."""
     for pid, queue in state.per_peer.items():
         if queue.exhausted:
             continue
@@ -124,7 +126,6 @@ def _elaborate(net: Network, state: AgentState, index: int) -> tuple[AgentState,
                 queues[j] = PeerQueue(target.queries + (out,), target.pointer)
                 appended.append((j, out))
         return AgentState(queues), TraceStep(index, pid, q, tuple(appended))
-    raise QueryError("no pending query to elaborate")
 
 
 def _result(state: AgentState) -> AgentResult:

@@ -38,7 +38,7 @@ from typing import Optional
 from .agent import DEFAULT_STEP_CEILING, trace as agent_trace
 from .answers import AnswerReport, TupleSet, answer, assemble_report, row_key
 from .errors import NetworkSyntaxError, P2pqError, ParseError, QueryError, ValidationError
-from .network import Network, load_network
+from .network import Network, json_array, json_member, json_object, json_string, load_network
 from .oracle import check_theorem
 from .parsing import parse_query
 from .queries import Const, ConjunctiveQuery
@@ -100,29 +100,17 @@ def answer_report_to_dict(report: AnswerReport, trace_steps=None) -> dict:
     return doc
 
 
-_JSON_KINDS = {str: "a string", list: "an array", dict: "an object", int: "a non-negative integer"}
-
-
-def _field(doc, key: str, where: str, kind: type):
-    """doc[key], which must be a `kind`; doc is the part at `where`."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where}: expected an object")
-    if key not in doc:
-        raise ValidationError(f"{where}: missing {key!r}")
-    if not isinstance(doc[key], kind):
-        raise ValidationError(f"{where}.{key}: expected {_JSON_KINDS[kind]}")
-    return doc[key]
-
-
-def _tuple_set(entry, where: str, arity: int) -> TupleSet:
-    rows = _field(entry, "rows", where, list)
+def _tuple_set(entry: dict, arity: int, where: str, pid=None) -> TupleSet:
+    rows = json_array(json_member(entry, "rows", where, pid), where + ".rows", pid)
     for k, row in enumerate(rows):
         if not isinstance(row, list) or any(type(v) not in (int, str) for v in row):
-            raise ValidationError(f"{where}.rows[{k}]: expected an array of integers and strings")
+            raise ValidationError(
+                f"{where.format(pid)}.rows[{k}]: expected an array of integers and strings"
+            )
     try:
         return TupleSet(arity, frozenset(map(tuple, rows)))
     except QueryError as e:  # a row of another arity
-        raise ValidationError(f"{where}.rows: {e}") from e
+        raise ValidationError(f"{where.format(pid)}.rows: {e}") from e
 
 
 def answer_report_from_dict(doc: dict) -> AnswerReport:
@@ -130,18 +118,20 @@ def answer_report_from_dict(doc: dict) -> AnswerReport:
     answer_report_to_dict, ignoring any trace).  A document of another
     shape raises ValidationError naming the part, and a query text that
     does not parse raises what parse_query raises."""
-    query = parse_query(_field(doc, "query", "report", str))
-    union = _field(doc, "union", "report", dict)
-    arity = _field(union, "arity", "report.union", int)
+    json_object(doc, None, "report")
+    query = parse_query(json_string(doc, "query", "report"))
+    union = json_object(json_member(doc, "union", "report"), None, "report.union")
+    arity = json_member(union, "arity", "report.union")
     if type(arity) is not int or arity < 0:  # a JSON true is an int to isinstance
         raise ValidationError("report.union.arity: expected a non-negative integer")
     per_peer = {}
-    for pid, entry in _field(doc, "peers", "report", dict).items():
-        where = f"report.peers[{pid!r}]"
-        queries = frozenset(parse_query(text) for text in _field(entry, "queries", where, list))
-        per_peer[pid] = (queries, _tuple_set(entry, where, arity))
-    union_rows = _tuple_set(union, "report.union", arity)
-    return AnswerReport(_field(doc, "origin", "report", str), query, per_peer, union_rows)
+    where = "report.peers[{!r}]"
+    for pid, entry in json_object(json_member(doc, "peers", "report"), None, "report.peers").items():
+        json_object(entry, None, where, pid)
+        texts = json_array(json_member(entry, "queries", where, pid), where + ".queries", pid)
+        per_peer[pid] = (frozenset(map(parse_query, texts)), _tuple_set(entry, arity, where, pid))
+    union_rows = _tuple_set(union, arity, "report.union")
+    return AnswerReport(json_string(doc, "origin", "report"), query, per_peer, union_rows)
 
 
 def _load(path: str) -> Network:

@@ -242,8 +242,50 @@ def neighbors(net: Network, pid: str) -> tuple[str, ...]:
 # loading and rendering
 
 
-# Location strings are formatted only on the error paths: loading is
-# most of a short request, and a document that loads formats none.
+# The shape checks of outside JSON, for `load_network` and for the CLI's
+# answer-report reader.  Each names the part at fault by `where`, a
+# str.format template with at most two fields, and fills them from `a`
+# and `b` only on the failing path: loading is most of a short request,
+# and a document that loads formats none.  Values from the document,
+# such as a peer id, go in `a` and `b`, never in the template, where a
+# brace would be read as a field.  They are plain parameters, not
+# *args, since a call that packs *args takes the interpreter's slower
+# path.  The checks made per fact, per mapping key and per view name and
+# definition stay inline, since a call costs more than the check there.
+
+
+def json_object(value, keys: Optional[frozenset], where: str, a=None, b=None) -> dict:
+    """value, which must be a JSON object with no key outside `keys`
+    (any keys when `keys` is None)."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where.format(a, b)}: expected an object")
+    if keys is not None and not keys.issuperset(value):
+        unknown = sorted(set(value) - keys)[0]
+        raise ValidationError(f"{where.format(a, b)}: unknown key {unknown!r}")
+    return value
+
+
+def json_array(value, where: str, a=None) -> list:
+    """value, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{where.format(a)}: expected an array")
+    return value
+
+
+def json_member(d: dict, key: str, where: str, a=None):
+    """d[key]; d is the object at `where`."""
+    if key not in d:
+        raise ValidationError(f"{where.format(a)}: missing {key!r}")
+    return d[key]
+
+
+def json_string(d: dict, key: str, where: str, a=None) -> str:
+    """d[key], which must be a JSON string; d is the object at `where`."""
+    value = json_member(d, key, where, a)
+    if not isinstance(value, str):
+        raise ValidationError(f"{where.format(a)}.{key}: expected a string")
+    return value
+
 
 _DOCUMENT_KEYS = frozenset({"peers", "mappings"})
 _PEER_KEYS = frozenset({"id", "schema", "views", "facts"})
@@ -253,42 +295,13 @@ _MAPPING_KEYS = ("from_peer", "from_view", "to_peer", "to_view")
 _MAPPING_KEY_SET = frozenset(_MAPPING_KEYS)
 
 
-def _require_dict(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{where}: expected an object")
-    return value
-
-
-def _require_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"{where}: expected an array")
-    return value
-
-
-def _unknown_key(d: dict, allowed: frozenset, where: str) -> ValidationError:
-    return ValidationError(f"{where}: unknown key {sorted(set(d) - allowed)[0]!r}")
-
-
 def _load_peer(d, index: int) -> Peer:
-    if not isinstance(d, dict):
-        raise ValidationError(f"peers[{index}]: expected an object")
-    if not _PEER_KEYS.issuperset(d):
-        raise _unknown_key(d, _PEER_KEYS, f"peers[{index}]")
-    if "id" not in d:
-        raise ValidationError(f"peers[{index}]: missing 'id'")
-    pid = d["id"]
-    if not isinstance(pid, str):
-        raise ValidationError(f"peers[{index}].id: expected a string")
+    json_object(d, _PEER_KEYS, "peers[{}]", index)
+    pid = json_string(d, "id", "peers[{}]", index)
 
     schema = []
-    entries = d.get("schema", [])
-    if not isinstance(entries, list):
-        raise ValidationError(f"peer {pid!r}.schema: expected an array")
-    for k, s in enumerate(entries):
-        if not isinstance(s, dict):
-            raise ValidationError(f"peer {pid!r}.schema[{k}]: expected an object")
-        if not _SIGNATURE_KEYS.issuperset(s):
-            raise _unknown_key(s, _SIGNATURE_KEYS, f"peer {pid!r}.schema[{k}]")
+    for k, s in enumerate(json_array(d.get("schema", []), "peer {!r}.schema", pid)):
+        json_object(s, _SIGNATURE_KEYS, "peer {!r}.schema[{}]", pid, k)
         if "name" not in s or "arity" not in s:
             raise ValidationError(f"peer {pid!r}.schema[{k}]: needs 'name' and 'arity'")
         try:
@@ -297,14 +310,8 @@ def _load_peer(d, index: int) -> Peer:
             raise ValidationError(f"peer {pid!r}.schema[{k}]: {e}") from e
 
     views = []
-    entries = d.get("views", [])
-    if not isinstance(entries, list):
-        raise ValidationError(f"peer {pid!r}.views: expected an array")
-    for k, v in enumerate(entries):
-        if not isinstance(v, dict):
-            raise ValidationError(f"peer {pid!r}.views[{k}]: expected an object")
-        if not _VIEW_KEYS.issuperset(v):
-            raise _unknown_key(v, _VIEW_KEYS, f"peer {pid!r}.views[{k}]")
+    for k, v in enumerate(json_array(d.get("views", []), "peer {!r}.views", pid)):
+        json_object(v, _VIEW_KEYS, "peer {!r}.views[{}]", pid, k)
         if "name" not in v or "def" not in v:
             raise ValidationError(f"peer {pid!r}.views[{k}]: needs 'name' and 'def'")
         vname, text = v["name"], v["def"]
@@ -322,10 +329,7 @@ def _load_peer(d, index: int) -> Peer:
             raise ValidationError(f"peer {pid!r}, {e}") from e
 
     facts = []
-    entries = d.get("facts", [])
-    if not isinstance(entries, list):
-        raise ValidationError(f"peer {pid!r}.facts: expected an array")
-    for k, text in enumerate(entries):
+    for k, text in enumerate(json_array(d.get("facts", []), "peer {!r}.facts", pid)):
         if not isinstance(text, str):
             raise ValidationError(f"peer {pid!r}.facts[{k}]: expected a string")
         try:
@@ -353,20 +357,15 @@ def load_network(text: str) -> Network:
         # JSONDecodeError, a number past the integer digit limit, or nesting too deep
         raise NetworkSyntaxError(f"malformed JSON: {e}") from e
 
-    d = _require_dict(doc, "document")
-    if not _DOCUMENT_KEYS.issuperset(d):
-        raise _unknown_key(d, _DOCUMENT_KEYS, "document")
+    d = json_object(doc, _DOCUMENT_KEYS, "document")
     peers = [
         _load_peer(entry, i)
-        for i, entry in enumerate(_require_list(d.get("peers", []), "peers"))
+        for i, entry in enumerate(json_array(d.get("peers", []), "peers"))
     ]
 
     interfaces: dict[tuple[str, str], list[MappingPair]] = {}
-    for k, m in enumerate(_require_list(d.get("mappings", []), "mappings")):
-        if not isinstance(m, dict):
-            raise ValidationError(f"mappings[{k}]: expected an object")
-        if not _MAPPING_KEY_SET.issuperset(m):
-            raise _unknown_key(m, _MAPPING_KEY_SET, f"mappings[{k}]")
+    for k, m in enumerate(json_array(d.get("mappings", []), "mappings")):
+        json_object(m, _MAPPING_KEY_SET, "mappings[{}]", k)
         for key in _MAPPING_KEYS:
             if key not in m:
                 raise ValidationError(f"mappings[{k}]: missing {key!r}")
@@ -375,10 +374,7 @@ def load_network(text: str) -> Network:
         pair = MappingPair(m["from_view"], m["to_view"])
         interfaces.setdefault((m["from_peer"], m["to_peer"]), []).append(pair)
 
-    try:
-        return Network(tuple(peers), {k: tuple(v) for k, v in interfaces.items()})
-    except P2pqError as e:
-        raise ValidationError(str(e)) from e
+    return Network(tuple(peers), {k: tuple(v) for k, v in interfaces.items()})
 
 
 def render_network(net: Network) -> str:

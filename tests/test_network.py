@@ -58,17 +58,6 @@ def test_load_rejects_malformed_json():
         load_network("{not json")
 
 
-def test_load_rejects_unknown_keys():
-    doc = minimal_doc()
-    doc["extra"] = 1
-    with pytest.raises(ValidationError, match="extra"):
-        load_network(json.dumps(doc))
-    doc = minimal_doc()
-    doc["peers"][0]["nickname"] = "p"
-    with pytest.raises(ValidationError, match="nickname"):
-        load_network(json.dumps(doc))
-
-
 def test_load_rejects_duplicate_peer_ids():
     doc = minimal_doc()
     doc["peers"][1]["id"] = "P1"
@@ -313,9 +302,15 @@ def _set(path, value):
     "change, message",
     [
         (lambda doc: [doc], "document: expected an object"),
+        (_set(("extra",), 1), "document: unknown key 'extra'"),
         (_set(("peers",), {}), "peers: expected an array"),
         (_set(("mappings",), {}), "mappings: expected an array"),
         (_set(("peers", 0), 5), "peers[0]: expected an object"),
+        (_set(("peers", 0, "nickname"), "p"), "peers[0]: unknown key 'nickname'"),
+        (
+            lambda doc: _set(("peers", 0, "views"), {})(_set(("peers", 0, "id"), "{0}")(doc)),
+            "peer '{0}'.views: expected an array",
+        ),
         (_set(("peers", 0, "id"), _DELETE), "peers[0]: missing 'id'"),
         (_set(("peers", 0, "id"), 3), "peers[0].id: expected a string"),
         (_set(("peers", 0, "schema"), {}), "peer 'P1'.schema: expected an array"),

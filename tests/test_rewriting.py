@@ -103,6 +103,7 @@ def test_minicon_finds_equivalent_expression():
     psi = minicon(q, defs, "Pi")
     assert psi is not None
     assert psi.owner == "Pi"
+    assert str(psi) == "q(x) :- v1(x, y), v2(y)  [views of Pi]"
     assert {a.predicate for a in psi.query.body} <= {"v1", "v2"}
     assert equivalent(unfold(psi, defs), q)
 
