@@ -1,15 +1,16 @@
 """Known-answer evaluation over peer fact sets.
 
-Relations are finite sets of constant tuples.  A query is evaluated by
-matching its body atoms against the owning peer's facts
-(`queries.match_atoms`), fail first: among the atoms that hold a
-constant or share a variable with the atoms already joined, the one
-with the fewest unbound variables is joined next, and its candidate
-facts are looked up in an index on its first already-bound argument
-position.  The matches are filtered by the comparison
-constraints and projected onto the head; the 0-ary relations {} and
-{()} act as false and true, so boolean queries come out as one of those
-two values.
+Relations are finite sets of constant tuples, checked once, row by
+row in the order given.  A query is evaluated by matching its body
+atoms against the owning peer's facts (`queries.match_atoms`), fail
+first: among the atoms that hold a constant or share a variable with
+the atoms already joined, the one with the fewest unbound variables is
+joined next, its candidate facts are looked up in an index on its
+first already-bound argument position, and the plan's argument tests
+filter them.  The matches are filtered by the comparison constraints,
+when the query has any, and projected onto the head; the 0-ary
+relations {} and {()} act as false and true, so boolean queries come
+out as one of those two values.
 
 The answer to a query posed at an origin peer is assembled from the
 agent's fixpoint: every derived query is evaluated on its own peer, the
@@ -35,27 +36,37 @@ Row = tuple[Union[int, str], ...]
 
 def row_key(row: Row) -> tuple:
     """Deterministic order for rows of mixed int/str columns."""
-    return tuple((0, v) if isinstance(v, int) else (1, v) for v in row)
+    return tuple([(0, v) if isinstance(v, int) else (1, v) for v in row])
+
+
+_VALUE_TYPES = frozenset({int, str})  # bool, a subclass of int, is not one
 
 
 @dataclass(frozen=True, slots=True)
 class TupleSet:
-    """A finite relation: arity plus a set of constant tuples."""
+    """A finite relation: arity plus a set of constant tuples.
+
+    The rows are checked in the order given, so the first bad one is
+    the one named.  A frozenset given is kept as it is; other rows are
+    made tuples and frozen."""
 
     arity: int
     rows: frozenset[Row] = frozenset()
 
     def __post_init__(self):
+        arity, rows = self.arity, self.rows
         # bool is a subclass of int; reject it explicitly
-        if type(self.arity) is not int or self.arity < 0:
-            raise QueryError(f"invalid arity {self.arity!r}")
-        object.__setattr__(self, "rows", frozenset(tuple(r) for r in self.rows))
-        for r in self.rows:
-            if len(r) != self.arity:
-                raise QueryError(f"row {r!r} does not have arity {self.arity}")
-            for v in r:
-                if type(v) not in (int, str):
-                    raise QueryError(f"row value {v!r} must be int or str")
+        if type(arity) is not int or arity < 0:
+            raise QueryError(f"invalid arity {arity!r}")
+        if type(rows) is not frozenset:
+            rows = [tuple(r) for r in rows]
+        for r in rows:
+            if len(r) != arity:
+                raise QueryError(f"row {r!r} does not have arity {arity}")
+            if not _VALUE_TYPES.issuperset(map(type, r)):
+                v = next(v for v in r if type(v) not in _VALUE_TYPES)
+                raise QueryError(f"row value {v!r} must be int or str")
+        object.__setattr__(self, "rows", frozenset(rows))  # a frozenset itself when given one
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -95,11 +106,11 @@ def evaluate(q: ConjunctiveQuery, peer: Peer) -> TupleSet:
     """All head tuples of q over the peer's facts.  q must be base-level
     on the peer's schema."""
     peer.require_base(q)
-    rows = set()
-    for env in match_atoms(q.body, peer.facts, {}):
-        if all(_constraint_holds(b, env) for b in q.builtins):
-            rows.add(tuple(env[v].value for v in q.head_vars))
-    return TupleSet(len(q.head_vars), frozenset(rows))
+    head = q.head_vars
+    envs = match_atoms(q.body, peer.facts, {})
+    if q.builtins:
+        envs = (env for env in envs if all(_constraint_holds(b, env) for b in q.builtins))
+    return TupleSet(len(head), frozenset({tuple([env[v].value for v in head]) for env in envs}))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .errors import NetworkSyntaxError, P2pqError, ParseError, QueryError, Valid
 from .network import Network, json_array, json_member, json_object, json_string, load_network
 from .oracle import check_theorem
 from .parsing import parse_query
-from .queries import Const, ConjunctiveQuery
+from .queries import ConjunctiveQuery, constant_text
 from .rewriting import rew
 
 __all__ = [
@@ -59,16 +59,14 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _render_value(v) -> str:
-    return str(Const(v))
-
-
-def _render_row(row) -> str:
-    return "(" + ", ".join(_render_value(v) for v in row) + ")"
-
-
 def _sorted_rows(ts: TupleSet) -> list:
     return sorted(ts.rows, key=row_key)
+
+
+def _print_rows(ts: TupleSet, indent: str) -> None:
+    # one write for all the rows, each value as the grammar writes it
+    if ts.rows:
+        print("\n".join([f"{indent}({', '.join(map(constant_text, row))})" for row in _sorted_rows(ts)]))
 
 
 def answer_report_to_dict(report: AnswerReport, trace_steps=None) -> dict:
@@ -108,7 +106,7 @@ def _tuple_set(entry: dict, arity: int, where: str, pid=None) -> TupleSet:
                 f"{where.format(pid)}.rows[{k}]: expected an array of integers and strings"
             )
     try:
-        return TupleSet(arity, frozenset(map(tuple, rows)))
+        return TupleSet(arity, rows)
     except QueryError as e:  # a row of another arity
         raise ValidationError(f"{where.format(pid)}.rows: {e}") from e
 
@@ -208,11 +206,9 @@ def cmd_answer(args) -> int:
         print(f"peer {peer.id}: {len(queries)} queries, {len(ts)} rows")
         for text in sorted(str(q) for q in queries):
             print(f"  {text}")
-        for row in _sorted_rows(ts):
-            print(f"    {_render_row(row)}")
+        _print_rows(ts, "    ")
     print(f"union: {len(report.union)} rows")
-    for row in _sorted_rows(report.union):
-        print(f"  {_render_row(row)}")
+    _print_rows(report.union, "  ")
     if steps is not None:
         _print_trace(steps)
     return EXIT_OK

@@ -95,7 +95,6 @@ class Peer:
             raise ValidationError(f"invalid peer id {self.id!r}")
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "views", tuple(self.views))
-        object.__setattr__(self, "facts", frozenset(self.facts))
         relations = {}
         for sig in self.schema:
             if sig.name in relations:
@@ -117,13 +116,16 @@ class Peer:
                 raise ValidationError(
                     f"peer {self.id!r}: view {view.name!r} must be defined over base relations"
                 )
-        for fact in self.facts:
+        # checked in the order given, so the first bad fact is the one named
+        facts = self.facts if type(self.facts) is frozenset else tuple(self.facts)
+        for fact in facts:
             if not fact.is_ground():
                 raise ValidationError(f"peer {self.id!r}: fact {fact} is not ground")
             if relations.get(fact.predicate) != len(fact.args):
                 raise ValidationError(
                     f"peer {self.id!r}: fact {fact} does not match the schema"
                 )
+        object.__setattr__(self, "facts", frozenset(facts))
 
     def relations(self) -> dict[str, int]:
         return {sig.name: sig.arity for sig in self.schema}
@@ -338,7 +340,7 @@ def _load_peer(d, index: int) -> Peer:
             raise ValidationError(f"peer {pid!r}, facts[{k}]: {e}") from e
 
     try:
-        return Peer(pid, tuple(schema), tuple(views), frozenset(facts))
+        return Peer(pid, tuple(schema), tuple(views), facts)
     except P2pqError as e:
         # Peer's messages name the peer, save the one for an empty id
         raise ValidationError(str(e) if pid else f"peers[{index}]: {e}") from e

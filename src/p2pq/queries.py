@@ -8,7 +8,12 @@ One indexed, iterative atom matcher, `match_atoms`, serves evaluation
 over facts, view folding, containment and core retraction.  It joins
 the atoms fail first: among the atoms connected to what is bound, the
 one with the fewest unbound variables goes next, so a pure check runs
-as soon as its variables are bound.
+as soon as its variables are bound.  The same pass that orders the
+atoms fixes each step's argument tests: the positions compared with a
+constant or an earlier binding, the first occurrences that bind, and
+the repeats compared with those.  A search node resolves its expected
+terms once for all its candidates, and only a candidate that passes
+gets a copy of the bindings.
 
 Everything here is an immutable value and every operation is a pure
 function, so results can be cached and shared freely.
@@ -46,6 +51,7 @@ __all__ = [
     "term_key",
     "atom_key",
     "compare_constants",
+    "constant_text",
 ]
 
 
@@ -80,10 +86,16 @@ class Const:
             raise QueryError(f"constants must be int or str, got {self.value!r}")
 
     def __str__(self) -> str:
-        if isinstance(self.value, int):
-            return str(self.value)
-        escaped = self.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return constant_text(self.value)
+
+
+def constant_text(value: Union[int, str]) -> str:
+    """A constant as the grammar writes it: an integer in decimal, a
+    string in double quotes with backslash and quote escaped."""
+    if isinstance(value, int):
+        return str(value)
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
 
 
 Term = Union[Var, Const]
@@ -285,38 +297,26 @@ class ConjunctiveQuery:
 # homomorphisms and containment
 
 
-def _match_args(pattern: Sequence[Term], target: Sequence[Term], env: dict) -> Optional[dict]:
-    """Extend env so the pattern argument list maps onto the target one.
-    Constants must match exactly; variables bind or must agree with a
-    previous binding.  Returns the extended environment or None."""
-    out = env
-    copied = False
-    for p, t in zip(pattern, target):
-        if isinstance(p, Const):
-            if p != t:
-                return None
-            continue
-        bound = out.get(p)
-        if bound is None:
-            if not copied:
-                out = dict(out)
-                copied = True
-            out[p] = t
-        elif bound != t:
-            return None
-    return out
+def _connected_order(atoms: Sequence[Atom], bound: Iterable[Var]) -> list[tuple]:
+    """Search plan for `match_atoms`, fail first: one step per atom.  An
+    atom is ready when it holds a constant or a variable that is bound
+    (in `bound` or by an atom already placed), or has no arguments.
+    Each step places the ready atom with the fewest distinct unbound
+    variables, the lower body index breaking ties, so an atom whose
+    variables are all bound, a pure check, runs as soon as it is ready.
+    When no atom is ready, a new component starts at the first unplaced
+    atom in body order.
 
-
-def _connected_order(atoms: Sequence[Atom], bound: Iterable[Var]) -> list[tuple[Atom, int]]:
-    """Search order for `match_atoms`, fail first.  An atom is ready when
-    it holds a constant or a variable that is bound (in `bound` or by an
-    atom already placed), or has no arguments.  Each step places the
-    ready atom with the fewest distinct unbound variables, the lower
-    body index breaking ties, so an atom whose variables are all bound,
-    a pure check, runs as soon as it is ready.  When no atom is ready, a
-    new component starts at the first unplaced atom in body order.
-    Each atom comes with its first argument position that is bound when
-    it is reached (-1 if none), which keys its candidate index.
+    A step is (atom, key, check, binds, repeat), its argument tests as
+    the bindings stand when it is placed.  `key` is the first position
+    holding a constant or a bound variable (-1 if none), which keys its
+    candidate index.  `check` compares the other such positions with
+    their terms: None, or an itemgetter of the positions and the terms.
+    `binds` is a tuple of (variable, position), the first occurrence of
+    each unbound variable.  `repeat` compares each later occurrence of
+    one of those with the first: None, or two itemgetters, of the later
+    positions and of the first ones.  One position makes an itemgetter
+    give an item and not a tuple, so one check term stands alone too.
 
     One heap of (unbound count, index) holds the ready atoms.  When a
     variable binds, each unplaced atom holding it gets its count
@@ -358,18 +358,58 @@ def _connected_order(atoms: Sequence[Atom], bound: Iterable[Var]) -> list[tuple[
         left[i] = -1
         a = atoms[i]
         key = -1
+        checked, terms, binds, later, earlier, first = [], [], [], [], [], {}
         for k, t in enumerate(a.args):
             if isinstance(t, Const) or t.name not in holders:
-                key = k
-                break
-        plan.append((a, key))
-        for t in a.args:
-            if isinstance(t, Var):
-                for j in holders.pop(t.name, ()):
-                    if left[j] >= 0:
-                        left[j] -= 1
-                        heappush(ready, (left[j], j))
+                if key < 0:
+                    key = k
+                else:
+                    checked.append(k)
+                    terms.append(t)
+            elif (p := first.get(t.name)) is None:
+                first[t.name] = k
+                binds.append((t, k))
+            else:
+                later.append(k)
+                earlier.append(p)
+        check = (operator.itemgetter(*checked), tuple(terms)) if checked else None
+        repeat = (operator.itemgetter(*later), operator.itemgetter(*earlier)) if later else None
+        plan.append((a, key, check, tuple(binds), repeat))
+        for name in first:
+            for j in holders.pop(name):
+                if left[j] >= 0:
+                    left[j] -= 1
+                    heappush(ready, (left[j], j))
     return plan
+
+
+def _candidates(step: tuple, env: dict, by_pred: dict, indexes: dict) -> Iterable[Atom]:
+    """The targets that a plan step's atom maps onto under env: those in
+    the index on its key position under the key's term, or every target
+    of its predicate and arity when it has no key, kept when they pass
+    the step's check and repeat tests.  The check terms are resolved
+    once, here, for all of them.  One call is one node of the search."""
+    a, k, check, _, repeat = step
+    pred = (a.predicate, len(a.args))
+    if k < 0:
+        found = by_pred.get(pred, ())
+    else:
+        index = indexes.get((pred, k))
+        if index is None:
+            index = indexes[pred, k] = {}
+            for t in by_pred.get(pred, ()):
+                index.setdefault(t.args[k], []).append(t)
+        t = a.args[k]
+        found = index.get(env[t] if type(t) is Var else t, ())
+    if check is not None:
+        pick, terms = check
+        want = [env[t] if type(t) is Var else t for t in terms]
+        want = want[0] if len(want) == 1 else tuple(want)
+        found = [c for c in found if pick(c.args) == want]
+    if repeat is not None:
+        later, first = repeat
+        found = [c for c in found if later(c.args) == first(c.args)]
+    return found
 
 
 def match_atoms(atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Var, Term]) -> Iterator[dict]:
@@ -382,8 +422,10 @@ def match_atoms(atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Va
     come, never which ones come.  An atom's candidates come from an
     index of the targets on its first bound argument position; each
     index is built on first use and shared by the atoms with the same
-    predicate, arity and position.  The search keeps an explicit stack,
-    so long bodies do not recurse."""
+    predicate, arity and position.  The plan's argument tests filter
+    them (`_candidates`), and a candidate that passes only binds the
+    step's new variables, in a copy of the env made for it.  The search
+    keeps an explicit stack, so long bodies do not recurse."""
     env0 = dict(env0)
     plan = _connected_order(atoms, env0)
     if not plan:
@@ -394,35 +436,26 @@ def match_atoms(atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Va
         by_pred.setdefault((t.predicate, len(t.args)), []).append(t)
     indexes: dict[tuple, dict[Term, list[Atom]]] = {}  # (pred, arity, position) -> term there -> targets
 
-    def candidates(step: int, env: dict) -> Iterator[Atom]:
-        a, k = plan[step]
-        pred = (a.predicate, len(a.args))
-        if k < 0:
-            return iter(by_pred.get(pred, ()))
-        index = indexes.get((pred, k))
-        if index is None:
-            index = indexes[pred, k] = {}
-            for t in by_pred.get(pred, ()):
-                index.setdefault(t.args[k], []).append(t)
-        t = a.args[k]
-        return iter(index.get(env[t] if isinstance(t, Var) else t, ()))
-
     last = len(plan) - 1
     envs = [env0]
-    stack = [candidates(0, env0)]
+    stack = [iter(_candidates(plan[0], env0, by_pred, indexes))]
     while stack:
         step = len(stack) - 1
-        args = plan[step][0].args
+        binds = plan[step][3]
         env = envs[-1]
         for cand in stack[-1]:
-            env2 = _match_args(args, cand.args, env)
-            if env2 is None:
-                continue
+            if binds:
+                args = cand.args
+                env2 = env.copy()
+                for v, k in binds:
+                    env2[v] = args[k]
+            else:
+                env2 = env
             if step == last:
                 yield env2
             else:
                 envs.append(env2)
-                stack.append(candidates(step + 1, env2))
+                stack.append(iter(_candidates(plan[step + 1], env2, by_pred, indexes)))
                 break
         else:
             stack.pop()

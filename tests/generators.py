@@ -88,6 +88,21 @@ def rand_query_pair(rng: random.Random, max_atoms: int = 4, max_vars: int = 5):
     return q1, q2
 
 
+def step_test_body(rng: random.Random, relations: dict[str, int], pool, n_atoms: int) -> list[Atom]:
+    """n_atoms random atoms whose arguments come from a small variable
+    pool and three constants, so that a variable often repeats within
+    an atom and a constant falls at every position: the argument tests
+    of each step of `match_atoms`'s plan."""
+    consts = _CONSTS[:2] + _CONSTS[5:6]
+    preds = sorted(relations)
+    atoms = []
+    for _ in range(n_atoms):
+        pred = rng.choice(preds)
+        args = [rng.choice(consts) if rng.random() < 0.25 else rng.choice(pool) for _ in range(relations[pred])]
+        atoms.append(Atom(pred, tuple(args)))
+    return atoms
+
+
 def _rand_view(rng: random.Random, peer_tag: str, index: int, relations: dict[str, int]):
     pool = [Var(f"x{i}") for i in range(4)]
     preds = sorted(relations)

@@ -1,11 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from p2pq import (
     Atom,
+    BuiltinAtom,
     ConjunctiveQuery,
     Const,
     Peer,
@@ -23,6 +27,8 @@ from p2pq import (
     row_key,
     run,
 )
+import generators
+import p2pq.queries as queries_module
 from generators import rand_network, rand_peer_query, rand_query
 from oracles import nested_loop_evaluate
 
@@ -46,6 +52,35 @@ def test_tuple_set_validation():
         TupleSet(-1)
     with pytest.raises(QueryError, match="invalid arity True"):
         TupleSet(True, frozenset({(1,)}))
+
+
+_FIRST_BAD_ROW = """
+from p2pq import P2pqError, TupleSet
+from p2pq.cli import answer_report_from_dict
+for make in (
+    lambda: TupleSet(1, [("a",), ("b", "c"), ("d", "e", "f"), ("g", "h")]),
+    lambda: TupleSet(1, [("a",), (True,), ("b",), (None,), ("c",), (1.5,)]),
+    lambda: answer_report_from_dict({"origin": "P", "query": "q(x) :- R(x)", "peers": {},
+        "union": {"arity": 1, "rows": [["a"], ["b", "c"], ["d", "e", "f"], ["g", "h"]]}}),
+):
+    try:
+        make()
+    except P2pqError as e:
+        print(e)
+"""
+
+
+def test_tuple_set_names_the_first_bad_row_given_under_every_hash_seed():
+    # a set iterates in an order that the hash seed decides
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=str(TWO_PEER.parents[2] / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _FIRST_BAD_ROW], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "row ('b', 'c') does not have arity 1",
+            "row value True must be int or str",
+            "report.union.rows: row ('b', 'c') does not have arity 1",
+        ], seed
 
 
 def test_row_key_orders_ints_before_strings():
@@ -152,6 +187,35 @@ def test_evaluate_matches_nested_loop_oracle():
         peer = rng.choice(net.peers)
         q = rand_query(rng, peer.relations(), max_atoms=3, builtin_prob=0.4)
         assert evaluate(q, peer) == nested_loop_evaluate(q, peer), f"{q} on {peer.id}"
+
+
+def test_evaluate_matches_nested_loop_oracle_on_every_step_test():
+    # R(x, x, 1), S(1, x), constants away from the key and variables
+    # checked where the key is elsewhere, over facts that repeat values
+    rng = random.Random(2526)
+    relations = {"R": 3, "S": 2}
+    schema = tuple(RelationSignature(name, arity) for name, arity in relations.items())
+    values = [Const(v) for v in (1, 2, "a")]
+    pool = [Var(f"x{i}") for i in range(3)]
+    seen = dict.fromkeys(("repeat", "constant check", "check"), 0)
+    nonempty = 0
+    for _ in range(150):
+        facts = [Atom(p, tuple(rng.choices(values, k=relations[p]))) for p in rng.choices("RS", k=12)]
+        peer = Peer("P", schema, (), facts)
+        body = generators.step_test_body(rng, relations, pool, rng.randint(1, 3))
+        body_vars = list(dict.fromkeys(v for atom in body for v in atom.variables()))
+        head = rng.sample(body_vars, rng.randint(0, min(2, len(body_vars))))
+        builtins = [BuiltinAtom("<", body_vars[0], Const(2))] if body_vars and rng.random() < 0.3 else []
+        q = ConjunctiveQuery("q", head, body, builtins)
+        for _, _, check, _, repeat in queries_module._connected_order(body, ()):
+            seen["repeat"] += repeat is not None
+            for t in check[1] if check is not None else ():
+                seen["constant check" if isinstance(t, Const) else "check"] += 1
+        result = evaluate(q, peer)
+        assert result == nested_loop_evaluate(q, peer), f"{q} on {sorted(map(str, facts))}"
+        nonempty += len(result) > 0
+    assert min(seen.values()) >= 20, seen  # the generator must reach every branch
+    assert nonempty >= 50
 
 
 def test_evaluate_long_chain_is_iterative():

@@ -508,18 +508,28 @@ def test_console_script_entry_point():
 
 
 @pytest.mark.parametrize(
-    "argv, ceiling",
+    "argv, ceiling, outcome",
     [
-        (["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)", "--trace", "--format", "json"], None),
-        (["rewrite", NET, "--peer", "Pi", "--target", "Pj", "--query", "q(x) :- A(x, y), B(y)"], None),
-        (["oracle-check", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)"], None),
+        (["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)", "--trace", "--format", "json"], None,
+         (0, b"")),
+        (["rewrite", NET, "--peer", "Pi", "--target", "Pj", "--query", "q(x) :- A(x, y), B(y)"], None, (0, b"")),
+        (["oracle-check", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)"], None, (0, b"")),
         # the agent diverges here, so the step ceiling stops it
         (["answer", str(ROOT / "demos" / "networks" / "divergent.json"), "--peer", "P3",
-          "--query", "q(x) :- R3a(y, y), R3b(x)"], "5"),
+          "--query", "q(x) :- R3a(y, y), R3b(x)"], "5", (1, b"error: fixpoint ceiling exceeded (5 steps)\n")),
+        # of two bad facts, the first in the document is named
+        (["validate", {"peers": [{"id": "P", "schema": [{"name": "C", "arity": 1}], "facts": ["C(5, 6)", "D(6)"]}]}],
+         None, (1, b"error: peer 'P': fact C(5, 6) does not match the schema\n")),
     ],
-    ids=["answer-trace-json", "rewrite", "oracle-check", "ceiling"],
+    ids=["answer-trace-json", "rewrite", "oracle-check", "ceiling", "two-bad-facts"],
 )
-def test_output_does_not_depend_on_the_hash_seed(argv, ceiling):
+def test_output_does_not_depend_on_the_hash_seed(argv, ceiling, outcome, tmp_path):
+    # a document given inline is written to a file first
+    argv = list(argv)
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            argv[k] = str(tmp_path / "network.json")
+            (tmp_path / "network.json").write_text(json.dumps(arg))
     # four seeds: a set of two strings iterates in the same order under
     # seeds 0 and 1 one time in two
     runs = []
@@ -532,7 +542,7 @@ def test_output_does_not_depend_on_the_hash_seed(argv, ceiling):
         runs.append((proc.returncode, proc.stdout, proc.stderr))
     assert runs.count(runs[0]) == len(runs)
     code, _, err = runs[0]
-    assert (code, err) == ((1, b"error: fixpoint ceiling exceeded (5 steps)\n") if ceiling else (0, b""))
+    assert (code, err) == outcome
 
 
 def test_readme_command_line_examples(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from p2pq import (
     homomorphisms,
     parse_query,
 )
+import generators
 from generators import rand_query, rand_query_pair
 import p2pq.queries as queries_module
 from oracles import brute_force_contains, brute_force_homomorphisms, reference_canonicalize, reference_labeling
@@ -182,6 +183,47 @@ def test_containment_agrees_with_brute_force():
         assert contains(a, b) == brute_force_contains(a, b), f"{a} || {b}"
         maps = {frozenset(h.items()) for h in homomorphisms(a, b)}
         assert maps == brute_force_homomorphisms(a, b), f"{a} || {b}"
+
+
+def _step_tests_seen(plan, head_vars) -> set[str]:
+    seen = set()
+    for a, _, check, _, repeat in plan:
+        if not a.args:
+            seen.add("no arguments")
+        if repeat is not None:
+            seen.add("repeat")
+        for t in check[1] if check is not None else ():
+            seen.add("head check" if t in head_vars else "constant check" if isinstance(t, Const) else "check")
+    return seen
+
+
+def test_homomorphisms_agree_with_brute_force_on_every_step_test():
+    # R(x, x, 1), constants away from the key, head variables checked
+    # where the key is elsewhere, and Z() with no arguments
+    rng = random.Random(2525)
+    relations = {"R": 3, "S": 2, "Z": 0}
+    pool = [Var(f"x{i}") for i in range(4)]
+    seen = dict.fromkeys(("repeat", "constant check", "head check", "check", "no arguments"), 0)
+    found = 0
+    for _ in range(150):
+        a_body = generators.step_test_body(rng, relations, pool, rng.randint(1, 4))
+        a_vars = list(dict.fromkeys(v for atom in a_body for v in atom.variables()))
+        head = rng.sample(a_vars, rng.randint(0, min(2, len(a_vars))))
+        a = ConjunctiveQuery("qa", head, a_body)
+        # b holds an image of a's body, head fixed, beside random atoms
+        image = {v: rng.choice(pool[:3] + [Const(1)]) for v in a_vars if v not in head}
+        b_body = [Atom(atom.predicate, tuple(image.get(t, t) for t in atom.args)) for atom in a_body]
+        b_body += generators.step_test_body(rng, relations, pool[:3], rng.randint(1, 4))
+        b = ConjunctiveQuery("qb", head, rng.sample(b_body, len(b_body)))
+        for frm, to in ((a, b), (b, a), (a, a)):
+            plan = queries_module._connected_order(frm.body, dict(zip(frm.head_vars, to.head_vars)))
+            for branch in _step_tests_seen(plan, frm.head_vars):
+                seen[branch] += 1
+            maps = {frozenset(h.items()) for h in homomorphisms(frm, to)}
+            assert maps == brute_force_homomorphisms(frm, to), f"{frm} || {to}"
+            found += len(maps) > 1
+    assert min(seen.values()) >= 20, seen  # the generator must reach every branch
+    assert found >= 20  # searches that find several maps
 
 
 def test_equivalent_modulo_renaming_and_redundancy():
@@ -422,7 +464,7 @@ def test_canonicalize_long_chain():
 
 
 def _plan(text: str, bound=()) -> list[str]:
-    return [str(a) for a, _ in queries_module._connected_order(parse_query(text).body, bound)]
+    return [str(step[0]) for step in queries_module._connected_order(parse_query(text).body, bound)]
 
 
 def test_plan_checks_an_atom_as_soon_as_its_variables_are_bound():
@@ -445,6 +487,16 @@ def test_plan_starts_a_new_component_at_the_first_unplaced_atom():
     ]
 
 
+def test_plan_steps_carry_their_argument_tests():
+    # with y bound, R(x, 1, x, y) is keyed on the constant, checks y,
+    # binds x at 0 and compares its repeat at 2 with it
+    (step,) = queries_module._connected_order([Atom("R", (x, Const(1), x, y))], (y,))
+    _, key, (pick, terms), binds, (later, first) = step
+    assert (key, terms, binds) == (1, (y,), ((x, 0),))
+    args = ("a", "b", "c", "d")
+    assert (pick(args), later(args), first(args)) == ("d", "c", "a")
+
+
 def test_plan_building_is_not_quadratic():
     # every atom is ready from the start, so a rescan of the unplaced
     # atoms at each step would take 5,000 steps of 5,000 atoms
@@ -454,26 +506,27 @@ def test_plan_building_is_not_quadratic():
     start = time.perf_counter()
     plan = queries_module._connected_order(body, ())
     assert time.perf_counter() - start < 2
-    assert [a for a, _ in plan] == body
+    assert [step[0] for step in plan] == body
 
 
 def _counted_canonical_text(monkeypatch, q: ConjunctiveQuery) -> tuple[str, int]:
+    # search nodes: `match_atoms` looks up each node's candidates once
     calls = 0
-    match_args = queries_module._match_args
+    candidates = queries_module._candidates
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return match_args(*args)
+        return candidates(*args)
 
-    monkeypatch.setattr(queries_module, "_match_args", counting)
+    monkeypatch.setattr(queries_module, "_candidates", counting)
     canonicalize.cache_clear()
     return str(canonicalize(q)), calls
 
 
 def test_core_of_a_single_centre_star_family_checks_constants_early(monkeypatch):
     # in body order, S(y5, 1), which rejects most images of y5, is placed
-    # 16th: that plan made 2,315,505 argument matches, the fail-first one 133
+    # 16th: that plan visits 472,129 search nodes, the fail-first one 73
     q = parse_query(
         "q(y3) :- R(x0, y3), R(x0, y5), S(y1, 1), S(y6, 1), S(y2, 3), R(x0, y4), R(x0, y7), R(x0, y8), "
         "R(x0, y2), S(y3, 3), R(x0, y6), S(y4, 1), R(x0, y0), R(x0, y1), S(y7, 2), S(y5, 1), S(y0, 2), S(y8, 3)"
@@ -484,12 +537,12 @@ def test_core_of_a_single_centre_star_family_checks_constants_early(monkeypatch)
 
 
 def test_core_of_the_six_clique_checks_edges_early(monkeypatch):
-    # 720 automorphisms; body order made 689,130 argument matches, the
-    # fail-first plan 123,480
+    # 720 automorphisms; body order visits 137,821 search nodes, the
+    # fail-first plan 24,691
     q = parse_query("q() :- " + ", ".join(f"R(x{i}, x{j})" for i in range(6) for j in range(6) if i != j))
     text, calls = _counted_canonical_text(monkeypatch, q)
     assert text == "q() :- " + ", ".join(f"R(v{i}, v{j})" for i in range(6) for j in range(6) if i != j)
-    assert calls <= 250_000
+    assert calls <= 50_000
 
 
 def test_canonical_forms_equal_iff_equivalent():
