@@ -47,8 +47,8 @@ class TupleSet:
     """A finite relation: arity plus a set of constant tuples.
 
     The rows are checked in the order given, so the first bad one is
-    the one named.  A frozenset given is kept as it is; other rows are
-    made tuples and frozen."""
+    the one named.  A frozenset of tuples given is kept as it is; other
+    rows are made tuples and frozen."""
 
     arity: int
     rows: frozenset[Row] = frozenset()
@@ -58,7 +58,7 @@ class TupleSet:
         # bool is a subclass of int; reject it explicitly
         if type(arity) is not int or arity < 0:
             raise QueryError(f"invalid arity {arity!r}")
-        if type(rows) is not frozenset:
+        if type(rows) is not frozenset or not all(type(r) is tuple for r in rows):
             rows = [tuple(r) for r in rows]
         for r in rows:
             if len(r) != arity:
@@ -66,7 +66,7 @@ class TupleSet:
             if not _VALUE_TYPES.issuperset(map(type, r)):
                 v = next(v for v in r if type(v) not in _VALUE_TYPES)
                 raise QueryError(f"row value {v!r} must be int or str")
-        object.__setattr__(self, "rows", frozenset(rows))  # a frozenset itself when given one
+        object.__setattr__(self, "rows", frozenset(rows))  # kept when given as one
 
     def __len__(self) -> int:
         return len(self.rows)

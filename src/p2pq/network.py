@@ -117,7 +117,7 @@ class Peer:
                     f"peer {self.id!r}: view {view.name!r} must be defined over base relations"
                 )
         # checked in the order given, so the first bad fact is the one named
-        facts = self.facts if type(self.facts) is frozenset else tuple(self.facts)
+        facts = tuple(self.facts)
         for fact in facts:
             if not fact.is_ground():
                 raise ValidationError(f"peer {self.id!r}: fact {fact} is not ground")

@@ -52,6 +52,10 @@ def test_tuple_set_validation():
         TupleSet(-1)
     with pytest.raises(QueryError, match="invalid arity True"):
         TupleSet(True, frozenset({(1,)}))
+    # a frozenset's rows are made tuples like any other rows
+    assert TupleSet(1, frozenset({"a"})) == TupleSet(1, {("a",)})
+    with pytest.raises(QueryError, match=r"row \('a', 'b'\) does not have arity 1"):
+        TupleSet(1, frozenset({"ab"}))
 
 
 _FIRST_BAD_ROW = """
