@@ -1,14 +1,13 @@
 """Known-answer evaluation over peer fact sets.
 
 Relations are finite sets of constant tuples, checked once, row by
-row in the order given.  A query is evaluated by matching its body
-atoms against the owning peer's facts (`queries.match_atoms`), fail
-first: among the atoms that hold a constant or share a variable with
-the atoms already joined, the one with the fewest unbound variables is
-joined next, its candidate facts are looked up in an index on its
-first already-bound argument position, and the plan's argument tests
-filter them.  The matches are filtered by the comparison constraints,
-when the query has any, and projected onto the head; the 0-ary
+row in the order given.  A query is evaluated by the search that
+decides containment, `queries.constrained_matches`, with the owning
+peer's facts as targets: body atoms joined fail first, candidates
+looked up in an index on an already-bound argument position, and a
+match kept when each comparison constraint's ground image holds, the
+one constraint rule of containment over targets that carry no
+constraints.  The matches are projected onto the head; the 0-ary
 relations {} and {()} act as false and true, so boolean queries come
 out as one of those two values.
 
@@ -27,7 +26,7 @@ from typing import Union
 from .agent import DEFAULT_STEP_CEILING, run
 from .errors import QueryError
 from .network import Network, Peer
-from .queries import BuiltinAtom, ConjunctiveQuery, Var, compare_constants, match_atoms
+from .queries import ConjunctiveQuery, constrained_matches
 
 __all__ = ["TupleSet", "AnswerReport", "join", "evaluate", "answer", "assemble_report", "row_key"]
 
@@ -96,20 +95,12 @@ def join(r1: TupleSet, r2: TupleSet, shared: int = 0) -> TupleSet:
     return TupleSet(r1.arity + r2.arity - shared, frozenset(out))
 
 
-def _constraint_holds(b: BuiltinAtom, env: dict) -> bool:
-    lhs = env[b.lhs] if isinstance(b.lhs, Var) else b.lhs
-    rhs = env[b.rhs] if isinstance(b.rhs, Var) else b.rhs
-    return compare_constants(b.op, lhs.value, rhs.value)
-
-
 def evaluate(q: ConjunctiveQuery, peer: Peer) -> TupleSet:
     """All head tuples of q over the peer's facts.  q must be base-level
     on the peer's schema."""
     peer.require_base(q)
     head = q.head_vars
-    envs = match_atoms(q.body, peer.facts, {})
-    if q.builtins:
-        envs = (env for env in envs if all(_constraint_holds(b, env) for b in q.builtins))
+    envs = constrained_matches(q.body, peer.facts, {}, q.builtins, ())
     return TupleSet(len(head), frozenset({tuple([env[v].value for v in head]) for env in envs}))
 
 

@@ -18,12 +18,13 @@ gets a copy of the bindings.
 Everything here is an immutable value and every operation is a pure
 function, so results can be cached and shared freely.
 
-Containment is decided by homomorphism existence.  Constraints are
-handled conservatively: a constraint of the more general query must
-either appear syntactically (after substitution) among the constraints
-of the more specific query, or become a ground comparison that
-evaluates to true.  This is sound but deliberately incomplete; no
-interval reasoning is attempted.
+Containment is decided by homomorphism existence, and evaluation is
+the same search over a peer's facts.  One rule, `constrained_matches`,
+decides for both whether a comparison constraint survives a match: its
+image is literally one of the target's constraints (both in normal
+orientation), or a ground comparison that holds.  Facts carry none, so
+over facts the rule is the truth of each ground image.  It is sound
+but deliberately incomplete; no interval reasoning is attempted.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "ConjunctiveQuery",
     "homomorphisms",
     "match_atoms",
+    "constrained_matches",
     "contains",
     "equivalent",
     "canonicalize",
@@ -470,35 +472,37 @@ def _ground_true(b: BuiltinAtom) -> bool:
     return b.is_ground() and b.holds_ground()
 
 
-def _builtin_image_ok(b: BuiltinAtom, env: Mapping[Var, Term], target_builtins: frozenset[BuiltinAtom]) -> bool:
-    # Constraint survival rule: the image is acceptable when it is
-    # literally one of the target's constraints (both sides stored in
-    # normal orientation), or a ground comparison that holds.  The
-    # literal test comes first, so a query contains itself even when one
-    # of its constraints is ground and false.
-    image = _builtin_image(b, env)
-    return image in target_builtins or _ground_true(image)
+def constrained_matches(
+    atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Var, Term],
+    constraints: Sequence[BuiltinAtom], target_constraints: Iterable[BuiltinAtom],
+) -> Iterator[dict]:
+    """`match_atoms` from atoms into targets, keeping the envs under which
+    every constraint survives (the module's one rule); with no
+    constraints, every env.  The literal test comes first, so a query
+    contains itself even when one of its constraints is ground and
+    false."""
+    envs = match_atoms(atoms, targets, env0)
+    if not constraints:
+        return envs
+    literal = frozenset(target_constraints)
+    return (env for env in envs
+            if all((image := _builtin_image(b, env)) in literal or _ground_true(image) for b in constraints))
 
 
 def _homs(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> Iterator[dict]:
-    """`match_atoms` from frm's body into to's, with frm's head mapped
-    onto to's head pointwise, keeping the envs under which every
-    constraint of frm survives."""
+    """`constrained_matches` from frm into to, heads mapped pointwise."""
     if len(frm.head_vars) != len(to.head_vars):
         raise QueryError(
             f"incomparable queries: head arity {len(frm.head_vars)} vs {len(to.head_vars)}"
         )
-    envs = match_atoms(frm.body, to.body, dict(zip(frm.head_vars, to.head_vars)))
-    if not frm.builtins:
-        return envs
-    target_builtins = frozenset(to.builtins)
-    return (env for env in envs if all(_builtin_image_ok(b, env, target_builtins) for b in frm.builtins))
+    head = dict(zip(frm.head_vars, to.head_vars))
+    return constrained_matches(frm.body, to.body, head, frm.builtins, to.builtins)
 
 
 def homomorphisms(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> list[dict[Var, Term]]:
     """All variable maps h with h(head of frm) = head of to pointwise and
     h(a) a body atom of `to` for every body atom a of `frm`, with every
-    constraint of `frm` surviving per the conservative rule.
+    constraint of `frm` surviving per `constrained_matches`' rule.
 
     The maps come in no fixed order: it follows `match_atoms`'s plan.
     Queries with different head arities are incomparable and raise.

@@ -178,6 +178,32 @@ def test_evaluate_cross_type_comparisons():
     assert evaluate(parse_query('q(x) :- R(x), x < "b"'), p) == TupleSet(1)
 
 
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        # ground constraints: false drops every match, true keeps every one
+        ("q(x) :- R(x, y), 1 < 0", set()),
+        ("q(x) :- R(x, y), 1 < 2", {(1,), (2,), ("a",)}),
+        # ground comparisons across types: only != holds
+        ('q(x) :- R(x, y), 1 < "a"', set()),
+        ('q(x) :- R(x, y), 1 != "a"', {(1,), (2,), ("a",)}),
+        # = and != read the same both ways round
+        ("q(x, y) :- R(x, y), x = y", {(1, 1), ("a", "a")}),
+        ("q(x, y) :- R(x, y), y = x", {(1, 1), ("a", "a")}),
+        ("q(x, y) :- R(x, y), x != y", {(1, 2), (2, 1), ("a", 1)}),
+        ("q(x, y) :- R(x, y), y != x", {(1, 2), (2, 1), ("a", 1)}),
+    ],
+)
+def test_evaluate_ground_and_symmetric_constraints(text, rows):
+    facts = [Atom("R", (Const(x), Const(y))) for x, y in [(1, 1), (1, 2), (2, 1), ("a", "a"), ("a", 1)]]
+    peer = Peer("P", (RelationSignature("R", 2),), (), facts)
+    q = parse_query(text)
+    assert evaluate(q, peer) == nested_loop_evaluate(q, peer) == TupleSet(len(q.head_vars), rows)
+    # a query contains itself, a false ground constraint included: the
+    # image of a constraint is first looked up among the target's own
+    assert queries_module.contains(q, q)
+
+
 def test_evaluate_rejects_view_level_query():
     net = two_peer()
     with pytest.raises(QueryError, match="query/schema mismatch"):
