@@ -61,6 +61,12 @@ def rand_query(
     return ConjunctiveQuery(name, head, tuple(atoms), tuple(builtins))
 
 
+def rand_fact(rng: random.Random, relations: dict[str, int]) -> Atom:
+    """A random ground atom over the given relation signatures."""
+    pred = rng.choice(sorted(relations))
+    return Atom(pred, tuple(rng.choice(_CONSTS) for _ in range(relations[pred])))
+
+
 def rand_query_pair(rng: random.Random, max_atoms: int = 4, max_vars: int = 5):
     """Two random queries over a shared schema with equal head arity,
     biased so that containment holds reasonably often."""

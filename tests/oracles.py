@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from typing import NoReturn, Optional
 
 from p2pq import (
     Atom,
@@ -22,7 +23,7 @@ from p2pq import (
     unfold,
 )
 from p2pq.errors import ParseError, QueryError
-from p2pq.queries import atom_key, compare_constants, term_key
+from p2pq.queries import Term, atom_key, compare_constants, term_key
 
 
 def _all_terms(q: ConjunctiveQuery):
@@ -347,3 +348,133 @@ def reference_tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
     texts.append("")
     starts.append(len(text))
     return kinds, texts, starts
+
+
+# The query parser as it stood before the token-text parser: a parser
+# object per text, a kind per token and an `expect` call per token,
+# copied unchanged but for its scanner, which is `reference_tokenize`
+# with its start offsets in place of a scan again on the error path.
+# `parse_query` and `parse_atom` must give the same value, or raise the
+# same error at the same line and column, on every text.
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise QueryError(f"not a string: {text!r}")
+        self.text = text
+        self.kinds, self.texts, self.starts = reference_tokenize(text)
+        self.pos = 0
+        # token text -> its term, for this parse only: a variable or
+        # constant that recurs is built and checked once
+        self.memo: dict[str, Term] = {}
+
+    def fail(self, message: str, pos: Optional[int] = None) -> NoReturn:
+        start = self.starts[self.pos if pos is None else pos]
+        raise _reference_error(self.text, start, message)
+
+    def expect(self, kind: str, what: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            got = self.texts[pos] or "end of input"
+            self.fail(f"expected {what}, got {got!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
+
+    # -- grammar ------------------------------------------------------
+
+    def new_term(self, pos: int) -> Term:
+        """Build the term that token `pos` spells and memoize it; raise
+        ParseError if it spells none."""
+        kind, text = self.kinds[pos], self.texts[pos]
+        if kind == "INT":
+            try:
+                term = Const(int(text))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                self.fail(f"integer constant too long ({len(text.lstrip('-'))} digits)", pos)
+        elif kind == "STRING":
+            term = Const(text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
+        elif kind != "IDENT":
+            self.fail("expected a term (variable, integer, or string)", pos)
+        elif text[0].islower() or text[0] == "_":
+            term = Var(text)
+        else:
+            self.fail(
+                f"{text!r} is not a term: variables are lowercase, "
+                "string constants are double-quoted",
+                pos,
+            )
+        self.memo[text] = term
+        return term
+
+    def term(self) -> Term:
+        pos = self.pos
+        term = self.memo.get(self.texts[pos])
+        if term is None:
+            term = self.new_term(pos)
+        self.pos = pos + 1
+        return term
+
+    def args(self, head: bool = False) -> tuple[Term, ...]:
+        """Parse ``'(' [term (',' term)*] ')'`` in one loop; in a head,
+        every term must be a variable."""
+        self.expect("LPAR", "'('")
+        kinds, texts, memo = self.kinds, self.texts, self.memo
+        pos = self.pos
+        items = []
+        if kinds[pos] != "RPAR":
+            while True:
+                term = memo.get(texts[pos])
+                if term is None:
+                    term = self.new_term(pos)
+                if head and not isinstance(term, Var):
+                    self.fail("head positions must be variables", pos)
+                items.append(term)
+                pos += 1
+                if kinds[pos] != "COMMA":
+                    break
+                pos += 1
+        self.pos = pos
+        self.expect("RPAR", "')'")
+        return tuple(items)
+
+    def atom(self) -> Atom:
+        name = self.expect("IDENT", "a predicate name")
+        return Atom(name, self.args())
+
+    def query(self) -> ConjunctiveQuery:
+        name = self.expect("IDENT", "a query name")
+        head = self.args(head=True)
+        self.expect("ARROW", "':-'")
+        kinds = self.kinds
+        atoms: list[Atom] = []
+        builtins: list[BuiltinAtom] = []
+        while True:
+            pos = self.pos
+            if kinds[pos] == "IDENT" and kinds[pos + 1] == "LPAR":
+                atoms.append(self.atom())
+            else:
+                lhs = self.term()
+                op = self.expect("OP", "a comparison operator")
+                builtins.append(BuiltinAtom(op, lhs, self.term()))
+            if kinds[self.pos] != "COMMA":
+                break
+            self.pos += 1
+        self.expect("EOF", "end of query")
+        return ConjunctiveQuery(name, head, tuple(atoms), tuple(builtins))
+
+
+def reference_parse_query(text: str) -> ConjunctiveQuery:
+    """Parse query text; raises ParseError with line/column on bad input
+    and QueryError when text is not a string or the parsed query
+    violates a query invariant."""
+    return _ReferenceParser(text).query()
+
+
+def reference_parse_atom(text: str) -> Atom:
+    """Parse a single atom such as a fact ``A(1, "x")``; raises the
+    errors parse_query does."""
+    parser = _ReferenceParser(text)
+    atom = parser.atom()
+    parser.expect("EOF", "end of atom")
+    return atom

@@ -24,7 +24,8 @@ from p2pq import (
 )
 from p2pq.parsing import _token_start, tokenize
 
-from oracles import reference_tokenize
+from generators import rand_fact, rand_query
+from oracles import reference_parse_atom, reference_parse_query, reference_tokenize
 
 
 def test_parse_simple_query():
@@ -160,6 +161,50 @@ def test_tokenize_agrees_with_reference_scanner():
         # the error path's re-scan finds every token's offset, EOF's too
         assert [_token_start(text, i) for i in range(len(starts))] == starts, text
     assert 0 < raised < 3000
+
+
+def _parse_outcome(parse, text):
+    """The value parse returns (with its name, which query equality
+    leaves out), or the type, text, line and column of what it raises."""
+    try:
+        value = parse(text)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
+    return value, getattr(value, "name", None)
+
+
+def _near_valid_text(rng: random.Random) -> str:
+    """A query or fact written by str, with one token deleted, duplicated
+    or replaced by a scanner fragment, or a line break or tab inserted."""
+    relations = {"R": 2, "S": 1, "T": 3}
+    if rng.random() < 0.5:
+        text = str(rand_query(rng, relations, const_prob=0.3, builtin_prob=0.5))
+    else:
+        text = str(rand_fact(rng, relations))
+    _, tokens, starts = reference_tokenize(text)
+    i = rng.randrange(len(tokens) - 1)
+    start, end = starts[i], starts[i] + len(tokens[i])
+    edit = rng.randrange(4)
+    if edit == 0:
+        return text[:start] + text[end:]
+    if edit == 1:
+        return text[:end] + tokens[i] + text[end:]
+    if edit == 2:
+        return text[:start] + rng.choice(SCAN_FRAGMENTS) + text[end:]
+    at = rng.randint(0, len(text))
+    return text[:at] + rng.choice("\n\t") + text[at:]
+
+
+def test_parsers_agree_with_the_reference_parser_on_near_valid_texts():
+    rng = random.Random(20261020)
+    raised = 0
+    for _ in range(5000):
+        text = _near_valid_text(rng)
+        for parse, reference in ((parse_query, reference_parse_query), (parse_atom, reference_parse_atom)):
+            expected = _parse_outcome(reference, text)
+            raised += isinstance(expected[0], type)
+            assert _parse_outcome(parse, text) == expected, (parse.__name__, text)
+    assert 0 < raised < 10000
 
 
 def test_parse_error_on_missing_arrow():
