@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NetworkSyntaxError, P2pqError, QueryError, ValidationError
-from .parsing import parse_atom, parse_query
+from .parsing import _read_atom, _read_query
 from .queries import Atom, ConjunctiveQuery, atom_key
 
 __all__ = [
@@ -297,7 +297,7 @@ _MAPPING_KEYS = ("from_peer", "from_view", "to_peer", "to_view")
 _MAPPING_KEY_SET = frozenset(_MAPPING_KEYS)
 
 
-def _load_peer(d, index: int) -> Peer:
+def _load_peer(d, index: int, memo: dict) -> Peer:
     json_object(d, _PEER_KEYS, "peers[{}]", index)
     pid = json_string(d, "id", "peers[{}]", index)
 
@@ -322,7 +322,7 @@ def _load_peer(d, index: int) -> Peer:
         if not isinstance(text, str):
             raise ValidationError(f"peer {pid!r}.views[{k}].def: expected a string")
         try:
-            definition = parse_query(text)
+            definition = _read_query(text, memo)
         except P2pqError as e:
             raise ValidationError(f"peer {pid!r}, view {vname!r}: {e}") from e
         try:
@@ -335,7 +335,7 @@ def _load_peer(d, index: int) -> Peer:
         if not isinstance(text, str):
             raise ValidationError(f"peer {pid!r}.facts[{k}]: expected a string")
         try:
-            facts.append(parse_atom(text))
+            facts.append(_read_atom(text, memo))
         except P2pqError as e:
             raise ValidationError(f"peer {pid!r}, facts[{k}]: {e}") from e
 
@@ -360,8 +360,11 @@ def load_network(text: str) -> Network:
         raise NetworkSyntaxError(f"malformed JSON: {e}") from e
 
     d = json_object(doc, _DOCUMENT_KEYS, "document")
+    # token text -> its term, for every view definition and fact of this
+    # document: a variable or constant that recurs is built once per load
+    memo: dict = {}
     peers = [
-        _load_peer(entry, i)
+        _load_peer(entry, i, memo)
         for i, entry in enumerate(json_array(d.get("peers", []), "peers"))
     ]
 

@@ -7,6 +7,20 @@ of ``=  !=  <  <=  >  >=``.  Variables are identifiers that start
 lowercase or with ``_``, string constants are double-quoted, integers
 are ASCII digits with an optional ``-``; whitespace is insignificant.
 Head positions must be variables.
+
+The parser reads the token texts of one `findall` over a one-group
+token pattern.  Punctuation, ``:-`` and operators are tested by text; a
+term is classified by its first character, and only when the term memo
+misses it.  An argument list, an atom and a body are each read in one
+loop.  The memo maps a token text to its term: `parse_query` and
+`parse_atom` use one per call, and `network.load_network` one per
+document, dropped when the load returns.
+
+Every failure takes one error path.  It first runs `tokenize`, which
+reports the first character that starts no token, wherever it lies;
+otherwise it raises the grammar's message at the failing token, whose
+offset is found by scanning again.  So positions cost nothing unless an
+error is raised.
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ from __future__ import annotations
 import itertools
 import re
 import string
-from typing import NoReturn, Optional
+from typing import NoReturn
 
 from .errors import ParseError, QueryError
 from .queries import Atom, BuiltinAtom, ConjunctiveQuery, Const, Term, Var
@@ -34,6 +48,13 @@ _KIND = {":": "ARROW", '"': "STRING", "(": "LPAR", ")": "RPAR", ",": "COMMA",
 _LONE_KIND = {c: kind for c, kind in _KIND.items() if c not in '-"!:'}
 
 _UNTERMINATED_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*$')
+
+# What the parser tests a token text against.  A term is classified by
+# its first character; a lone '-' or '"' is a bad character, not a term.
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_VAR_START = frozenset(string.ascii_lowercase + "_")
+_DIGITS = frozenset(string.digits)
+_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -65,123 +86,134 @@ def tokenize(text: str) -> tuple[list[str], list[str]]:
     return kinds, texts
 
 
-class _Parser:
-    def __init__(self, text: str):
-        if not isinstance(text, str):
-            raise QueryError(f"not a string: {text!r}")
-        self.text = text
-        self.kinds, self.texts = tokenize(text)
-        self.pos = 0
-        # token text -> its term, for this parse only: a variable or
-        # constant that recurs is built and checked once
-        self.memo: dict[str, Term] = {}
+def _fail(text: str, pos: int, message: str) -> NoReturn:
+    """The one error path: a bad character anywhere in text is reported
+    first, as `tokenize` finds it; otherwise `message` at token `pos`."""
+    tokenize(text)
+    raise _error(text, _token_start(text, pos), message)
 
-    def fail(self, message: str, pos: Optional[int] = None) -> NoReturn:
-        start = _token_start(self.text, self.pos if pos is None else pos)
-        raise _error(self.text, start, message)
 
-    def expect(self, kind: str, what: str) -> str:
-        pos = self.pos
-        if self.kinds[pos] != kind:
-            got = self.texts[pos] or "end of input"
-            self.fail(f"expected {what}, got {got!r}")
-        self.pos = pos + 1
-        return self.texts[pos]
+def _expected(text: str, texts: list[str], pos: int, what: str) -> NoReturn:
+    _fail(text, pos, f"expected {what}, got {texts[pos] or 'end of input'!r}")
 
-    # -- grammar ------------------------------------------------------
 
-    def new_term(self, pos: int) -> Term:
-        """Build the term that token `pos` spells and memoize it; raise
-        ParseError if it spells none."""
-        kind, text = self.kinds[pos], self.texts[pos]
-        if kind == "INT":
-            try:
-                term = Const(int(text))
-            except ValueError:  # past sys.get_int_max_str_digits()
-                self.fail(f"integer constant too long ({len(text.lstrip('-'))} digits)", pos)
-        elif kind == "STRING":
-            term = Const(text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
-        elif kind != "IDENT":
-            self.fail("expected a term (variable, integer, or string)", pos)
-        elif text[0].islower() or text[0] == "_":
-            term = Var(text)
-        else:
-            self.fail(
-                f"{text!r} is not a term: variables are lowercase, "
-                "string constants are double-quoted",
-                pos,
-            )
-        self.memo[text] = term
-        return term
+def _new_term(text: str, token: str, pos: int, memo: dict) -> Term:
+    """Build the term that `token`, token `pos` of text, spells, by its
+    first character, and memoize it; fail if it spells none."""
+    first = token[:1]
+    if first in _VAR_START:
+        term = Var(token)
+    elif first in _DIGITS or (first == "-" and len(token) > 1):
+        try:
+            term = Const(int(token))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            _fail(text, pos, f"integer constant too long ({len(token.lstrip('-'))} digits)")
+    elif first == '"' and len(token) > 1:
+        term = Const(token[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
+    elif first in _IDENT_START:
+        _fail(text, pos, f"{token!r} is not a term: variables are lowercase, "
+                         "string constants are double-quoted")
+    else:
+        _fail(text, pos, "expected a term (variable, integer, or string)")
+    memo[token] = term
+    return term
 
-    def term(self) -> Term:
-        pos = self.pos
-        term = self.memo.get(self.texts[pos])
-        if term is None:
-            term = self.new_term(pos)
-        self.pos = pos + 1
-        return term
 
-    def args(self, head: bool = False) -> tuple[Term, ...]:
-        """Parse ``'(' [term (',' term)*] ')'`` in one loop; in a head,
-        every term must be a variable."""
-        self.expect("LPAR", "'('")
-        kinds, texts, memo = self.kinds, self.texts, self.memo
-        pos = self.pos
-        items = []
-        if kinds[pos] != "RPAR":
-            while True:
-                term = memo.get(texts[pos])
-                if term is None:
-                    term = self.new_term(pos)
-                if head and not isinstance(term, Var):
-                    self.fail("head positions must be variables", pos)
-                items.append(term)
-                pos += 1
-                if kinds[pos] != "COMMA":
-                    break
-                pos += 1
-        self.pos = pos
-        self.expect("RPAR", "')'")
-        return tuple(items)
-
-    def atom(self) -> Atom:
-        name = self.expect("IDENT", "a predicate name")
-        return Atom(name, self.args())
-
-    def query(self) -> ConjunctiveQuery:
-        name = self.expect("IDENT", "a query name")
-        head = self.args(head=True)
-        self.expect("ARROW", "':-'")
-        kinds = self.kinds
-        atoms: list[Atom] = []
-        builtins: list[BuiltinAtom] = []
+def _args(text: str, texts: list[str], pos: int, memo: dict, head: bool) -> tuple[tuple[Term, ...], int]:
+    """Read ``'(' [term (',' term)*] ')'`` from token `pos` in one loop:
+    the terms, and the position after the ')'.  In a head, every term
+    must be a variable."""
+    if texts[pos] != "(":
+        _expected(text, texts, pos, "'('")
+    pos += 1
+    items = []
+    if texts[pos] != ")":
         while True:
-            pos = self.pos
-            if kinds[pos] == "IDENT" and kinds[pos + 1] == "LPAR":
-                atoms.append(self.atom())
-            else:
-                lhs = self.term()
-                op = self.expect("OP", "a comparison operator")
-                builtins.append(BuiltinAtom(op, lhs, self.term()))
-            if kinds[self.pos] != "COMMA":
+            token = texts[pos]
+            term = memo.get(token)
+            if term is None:
+                term = _new_term(text, token, pos, memo)
+            if head and type(term) is not Var:
+                _fail(text, pos, "head positions must be variables")
+            items.append(term)
+            pos += 1
+            if texts[pos] != ",":
                 break
-            self.pos += 1
-        self.expect("EOF", "end of query")
-        return ConjunctiveQuery(name, head, tuple(atoms), tuple(builtins))
+            pos += 1
+        if texts[pos] != ")":
+            _expected(text, texts, pos, "')'")
+    return tuple(items), pos + 1
+
+
+def _term(text: str, texts: list[str], pos: int, memo: dict) -> Term:
+    term = memo.get(texts[pos])
+    return _new_term(text, texts[pos], pos, memo) if term is None else term
+
+
+def _scan(text: str) -> list[str]:
+    """The token texts of text, ending with "" for EOF; a bad character
+    is a token of its own, which no rule of the grammar accepts."""
+    texts = _TOKEN_RE.findall(text, 0, len(text.rstrip()))
+    texts.append("")
+    return texts
+
+
+def _read_query(text: str, memo: dict) -> ConjunctiveQuery:
+    """parse_query on a str, with terms memoized in `memo` by token text."""
+    texts = _scan(text)
+    name = texts[0]
+    if name[:1] not in _IDENT_START:
+        _expected(text, texts, 0, "a query name")
+    head, pos = _args(text, texts, 1, memo, True)
+    if texts[pos] != ":-":
+        _expected(text, texts, pos, "':-'")
+    pos += 1
+    atoms: list[Atom] = []
+    builtins: list[BuiltinAtom] = []
+    while True:
+        token = texts[pos]
+        if token[:1] in _IDENT_START and texts[pos + 1] == "(":
+            args, pos = _args(text, texts, pos + 1, memo, False)
+            atoms.append(Atom(token, args))
+        else:
+            lhs = _term(text, texts, pos, memo)
+            op = texts[pos + 1]
+            if op not in _OPS:
+                _expected(text, texts, pos + 1, "a comparison operator")
+            builtins.append(BuiltinAtom(op, lhs, _term(text, texts, pos + 2, memo)))
+            pos += 3
+        if texts[pos] != ",":
+            break
+        pos += 1
+    if texts[pos]:
+        _expected(text, texts, pos, "end of query")
+    return ConjunctiveQuery(name, head, tuple(atoms), tuple(builtins))
+
+
+def _read_atom(text: str, memo: dict) -> Atom:
+    """parse_atom on a str, with terms memoized in `memo` by token text."""
+    texts = _scan(text)
+    name = texts[0]
+    if name[:1] not in _IDENT_START:
+        _expected(text, texts, 0, "a predicate name")
+    args, pos = _args(text, texts, 1, memo, False)
+    if texts[pos]:
+        _expected(text, texts, pos, "end of atom")
+    return Atom(name, args)
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
     """Parse query text; raises ParseError with line/column on bad input
     and QueryError when text is not a string or the parsed query
     violates a query invariant."""
-    return _Parser(text).query()
+    if not isinstance(text, str):
+        raise QueryError(f"not a string: {text!r}")
+    return _read_query(text, {})
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom such as a fact ``A(1, "x")``; raises the
     errors parse_query does."""
-    parser = _Parser(text)
-    atom = parser.atom()
-    parser.expect("EOF", "end of atom")
-    return atom
+    if not isinstance(text, str):
+        raise QueryError(f"not a string: {text!r}")
+    return _read_atom(text, {})

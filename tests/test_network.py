@@ -8,14 +8,17 @@ from p2pq import (
     Atom,
     Const,
     MappingPair,
+    Network,
     NetworkSyntaxError,
     Peer,
     QueryError,
     RelationSignature,
     ValidationError,
+    Var,
     ViewDefinition,
     load_network,
     neighbors,
+    parse_atom,
     parse_query,
     render_network,
 )
@@ -110,6 +113,51 @@ def test_load_reports_parse_errors_with_position(facts, vdef, message):
     with pytest.raises(ValidationError) as err:
         load_network(json.dumps(doc))
     assert str(err.value) == message
+
+
+# Term texts that one memo over a whole document must keep apart: the
+# variable x and the string "x", the integer 1 and the string "1"; and
+# -0 and 0, which spell one constant.  Each recurs across peers, view
+# definitions and facts.
+SHARED_TERMS_DOC = {"peers": [
+    {"id": "P", "schema": [{"name": "R", "arity": 2}, {"name": "S", "arity": 1}],
+     "views": [{"name": "v", "def": "v(x) :- R(x, 1), S(x)"}, {"name": "w", "def": "w(x) :- R(x, -0)"}],
+     "facts": ['R("x", 1)', 'R("1", -0)', 'R(0, "x")', 'S("1")', "S(1)"]},
+    {"id": "Q", "schema": [{"name": "T", "arity": 2}],
+     "views": [{"name": "u", "def": 'u(x) :- T(x, "x"), T("1", 0)'}],
+     "facts": ['T(1, "1")', "T(-0, 0)", 'T("x", "x")']},
+]}
+
+
+def test_one_document_memo_builds_the_network_text_by_text_parsing_builds():
+    expected = Network(tuple(
+        Peer(
+            p["id"],
+            tuple(RelationSignature(s["name"], s["arity"]) for s in p["schema"]),
+            tuple(ViewDefinition(v["name"], parse_query(v["def"])) for v in p["views"]),
+            [parse_atom(f) for f in p["facts"]],
+        )
+        for p in SHARED_TERMS_DOC["peers"]
+    ))
+    net = load_network(json.dumps(SHARED_TERMS_DOC))
+    assert net == expected
+    assert net.peer("P").view("v").definition.body[0].args == (Var("x"), Const(1))
+    assert net.peer("Q").facts == {
+        Atom("T", (Const(1), Const("1"))), Atom("T", (Const(0), Const(0))), Atom("T", (Const("x"), Const("x"))),
+    }
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('R("x",\n  1 $)', "line 2, column 5: unexpected character '$'"),
+    ("R(-0, X)", "line 1, column 7: 'X' is not a term: variables are lowercase, string constants are double-quoted"),
+    ('R("1", 1', "line 1, column 9: expected ')', got 'end of input'"),
+])
+def test_a_bad_fact_after_memoised_terms_reports_its_own_place(bad, message):
+    doc = json.loads(json.dumps(SHARED_TERMS_DOC))
+    doc["peers"][0]["facts"].append(bad)
+    with pytest.raises(ValidationError) as err:
+        load_network(json.dumps(doc))
+    assert str(err.value) == f"peer 'P', facts[5]: {message}"
 
 
 def test_load_rejects_unknown_mapping_view():

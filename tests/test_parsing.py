@@ -207,6 +207,24 @@ def test_parsers_agree_with_the_reference_parser_on_near_valid_texts():
     assert 0 < raised < 10000
 
 
+@pytest.mark.parametrize("parse, text, column, character", [
+    (parse_query, "q(x) :- R(x), x ! 3", 17, "!"),
+    (parse_query, "q(x) : R(x)", 6, ":"),
+    (parse_query, "q(x) :- R(x), x < -", 19, "-"),
+    (parse_atom, "R(-, 1)", 3, "-"),
+    (parse_atom, "R(1) !", 6, "!"),
+])
+def test_a_lone_token_start_is_a_bad_character_where_a_token_is_expected(parse, text, column, character):
+    # '!', ':' and '-' start an operator, the arrow or an integer, but
+    # alone they are none; the parser tests operators and the arrow by
+    # text and terms by their first character, and must not accept them
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line 1, column {column}: unexpected character {character!r}"
+    assert _parse_outcome(parse, text) == _parse_outcome(
+        reference_parse_query if parse is parse_query else reference_parse_atom, text)
+
+
 def test_parse_error_on_missing_arrow():
     with pytest.raises(ParseError):
         parse_query("q(x) R(x)")
