@@ -480,13 +480,26 @@ def constrained_matches(
     every constraint survives (the module's one rule); with no
     constraints, every env.  The literal test comes first, so a query
     contains itself even when one of its constraints is ground and
-    false."""
+    false.  A constraint's two terms are resolved through the env, and
+    its image is built as a `BuiltinAtom` only when there are target
+    constraints to find it among; a ground image is compared directly,
+    its operator being already in normal orientation."""
     envs = match_atoms(atoms, targets, env0)
     if not constraints:
         return envs
     literal = frozenset(target_constraints)
-    return (env for env in envs
-            if all((image := _builtin_image(b, env)) in literal or _ground_true(image) for b in constraints))
+
+    def survives(env: dict) -> bool:
+        for b in constraints:
+            lhs, rhs = env.get(b.lhs, b.lhs), env.get(b.rhs, b.rhs)
+            if literal and BuiltinAtom(b.op, lhs, rhs) in literal:
+                continue
+            if not (isinstance(lhs, Const) and isinstance(rhs, Const)
+                    and compare_constants(b.op, lhs.value, rhs.value)):
+                return False
+        return True
+
+    return filter(survives, envs)
 
 
 def _homs(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> Iterator[dict]:
