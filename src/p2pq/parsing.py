@@ -16,11 +16,11 @@ loop.  The memo maps a token text to its term: `parse_query` and
 `parse_atom` use one per call, and `network.load_network` one per
 document, dropped when the load returns.
 
-Every failure takes one error path.  It first runs `tokenize`, which
-reports the first character that starts no token, wherever it lies;
-otherwise it raises the grammar's message at the failing token, whose
-offset is found by scanning again.  So positions cost nothing unless an
-error is raised.
+Every failure takes one error path.  It reads the same token texts and
+first reports a bad character wherever it lies: a one-character token
+that no rule of the grammar reads.  Otherwise it raises the grammar's
+message at the failing token.  Offsets are found by scanning again, so
+positions cost nothing unless an error is raised.
 """
 
 from __future__ import annotations
@@ -40,21 +40,18 @@ __all__ = ["parse_query", "parse_atom"]
 # any other character, so matches are contiguous up to trailing whitespace.
 _TOKEN_RE = re.compile(r'\s*(:-|<=|>=|!=|[=<>(),]|-?[0-9]+|"(?:[^"\\]|\\.)*"|[A-Za-z_][A-Za-z0-9_]*|\S)')
 
-# A token's kind follows from its first character; a one-character token
-# is looked up whole, so a lone '-', '"', '!' or ':' is BAD.
-_KIND = {":": "ARROW", '"': "STRING", "(": "LPAR", ")": "RPAR", ",": "COMMA",
-         **dict.fromkeys("<>!=", "OP"), **dict.fromkeys(string.digits + "-", "INT"),
-         **dict.fromkeys(string.ascii_letters + "_", "IDENT")}
-_LONE_KIND = {c: kind for c, kind in _KIND.items() if c not in '-"!:'}
-
 _UNTERMINATED_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*$')
 
 # What the parser tests a token text against.  A term is classified by
-# its first character; a lone '-' or '"' is a bad character, not a term.
+# its first character.
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _VAR_START = frozenset(string.ascii_lowercase + "_")
 _DIGITS = frozenset(string.digits)
 _OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
+# The one-character tokens some rule of the grammar reads.  Any other
+# one-character token is a bad character: a lone '-', '"', '!' or ':',
+# or a character that starts no token.
+_ALONE = _IDENT_START | _DIGITS | frozenset("(),<>=")
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -70,26 +67,15 @@ def _token_start(text: str, index: int) -> int:
     return len(text) if m is None else m.start(1)
 
 
-def tokenize(text: str) -> tuple[list[str], list[str]]:
-    """Scan text into parallel lists of token kind and token text, ending
-    with an EOF token; raises ParseError at the first character that
-    starts no token."""
-    texts = _TOKEN_RE.findall(text, 0, len(text.rstrip()))
-    kinds = [_KIND[t[0]] if len(t) > 1 else _LONE_KIND.get(t, "BAD") for t in texts]
-    if "BAD" in kinds:
-        start = _token_start(text, kinds.index("BAD"))
-        if _UNTERMINATED_STRING_RE.match(text, start):
-            raise _error(text, start, "unterminated string constant")
-        raise _error(text, start, f"unexpected character {text[start]!r}")
-    kinds.append("EOF")
-    texts.append("")
-    return kinds, texts
-
-
 def _fail(text: str, pos: int, message: str) -> NoReturn:
-    """The one error path: a bad character anywhere in text is reported
-    first, as `tokenize` finds it; otherwise `message` at token `pos`."""
-    tokenize(text)
+    """The one error path: the first bad character anywhere in text is
+    reported first; otherwise `message` at token `pos`."""
+    for bad, token in enumerate(_scan(text)):
+        if len(token) == 1 and token not in _ALONE:
+            start = _token_start(text, bad)
+            if _UNTERMINATED_STRING_RE.match(text, start):
+                raise _error(text, start, "unterminated string constant")
+            raise _error(text, start, f"unexpected character {text[start]!r}")
     raise _error(text, _token_start(text, pos), message)
 
 

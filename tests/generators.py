@@ -12,6 +12,7 @@ from p2pq import (
     MappingPair,
     Network,
     Peer,
+    QueryError,
     RelationSignature,
     Var,
     ViewDefinition,
@@ -194,7 +195,7 @@ def rand_peer_query(rng: random.Random, net: Network, pid: str, builtin_prob: fl
             try:
                 # truncation may break safety; fall back to a plain query
                 q = ConjunctiveQuery("q", q.head_vars, q.body[:3], ())
-            except Exception:
+            except QueryError:
                 q = rand_query(rng, relations, 3, 4, builtin_prob=builtin_prob)
                 while not q.head_vars:
                     q = rand_query(rng, relations, 3, 4, builtin_prob=builtin_prob)

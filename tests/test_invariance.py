@@ -8,11 +8,13 @@ mapped back and the queries canonicalized (Chen et al., "Metamorphic
 testing: a review of challenges and opportunities", ACM CSUR 2018).
 
 The generated cases run `rand_network(rng, 2, 4)` instances from one
-fixed seed.  Known failures are strict xfails on fixed documents, each
-naming its ROADMAP item: a view's name and the order of the mappings
-decide which of two equivalent view expressions crosses (item 15).
-Renaming a query's variables is item 1, whose strict xfail is in
-test_cli.py.
+fixed seed.  Known failures are strict xfails, each naming its ROADMAP
+item: a view's name and the order of the mappings decide which of two
+equivalent view expressions crosses (item 15), so `shuffle_mappings`
+and `rename_views` are xfails, and so are two fixed documents that
+show it.  Renaming a query's variables passes on these networks; item
+1's capture needs a view variable named like a canonical one, and its
+strict xfail is in test_cli.py.
 """
 
 import copy
@@ -101,7 +103,49 @@ def rename_peers_and_relations(doc, q, origin, rng):
     return doc, _renamed(q, relations=relations), peers[origin], peers, back
 
 
-TRANSFORMS = [permute, rename_view_variables, rename_peers_and_relations]
+def rename_query_variables(doc, q, origin, rng):
+    """Rename the query's variables.  `rand_network` names view
+    variables x0-x3, never `v<k>`, so this case cannot reach item 1's
+    capture of a constraint by a projected-away definition variable."""
+    variables = _fresh("z", [v.name for v in q.variables()], rng)
+    return doc, _renamed(q, variables=variables), origin, {}, {}
+
+
+def shuffle_mappings(doc, q, origin, rng):
+    """Shuffle the document's mappings."""
+    doc = copy.deepcopy(doc)
+    rng.shuffle(doc["mappings"])
+    return doc, q, origin, {}, {}
+
+
+def rename_views(doc, q, origin, rng):
+    """Rename every view, in its definition and in every mapping."""
+    doc = copy.deepcopy(doc)
+    views = _fresh("w", [(p["id"], v["name"]) for p in doc["peers"] for v in p["views"]], rng)
+    for peer in doc["peers"]:
+        for view in peer["views"]:
+            view["name"] = views[peer["id"], view["name"]]
+            d = parse_query(view["def"])
+            view["def"] = str(ConjunctiveQuery(view["name"], d.head_vars, d.body, d.builtins))
+    for m in doc["mappings"]:
+        m["from_view"] = views[m["from_peer"], m["from_view"]]
+        m["to_view"] = views[m["to_peer"], m["to_view"]]
+    return doc, q, origin, {}, {}
+
+
+_ITEM_15 = (
+    "rew pushes one view expression per call: minicon's first equivalent combination and "
+    "subst's first declared pair decide which of Pj's queries crosses (ROADMAP item 15)"
+)
+
+TRANSFORMS = [
+    permute,
+    rename_view_variables,
+    rename_query_variables,
+    rename_peers_and_relations,
+    pytest.param(shuffle_mappings, marks=pytest.mark.xfail(strict=True, reason=_ITEM_15)),
+    pytest.param(rename_views, marks=pytest.mark.xfail(strict=True, reason=_ITEM_15)),
+]
 
 
 def _answer(doc, q, origin):
@@ -174,12 +218,6 @@ def _two_views_doc(views, mappings):
         ],
         "mappings": [{"from_peer": "Pi", "from_view": v, "to_peer": "Pj", "to_view": w} for v, w in mappings],
     }
-
-
-_ITEM_15 = (
-    "rew pushes one view expression per call: minicon's first equivalent combination and "
-    "subst's first declared pair decide which of Pj's queries crosses (ROADMAP item 15)"
-)
 
 
 @pytest.mark.xfail(strict=True, reason=_ITEM_15)

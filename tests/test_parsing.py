@@ -22,7 +22,7 @@ from p2pq import (
     parse_atom,
     parse_query,
 )
-from p2pq.parsing import _token_start, tokenize
+from p2pq.parsing import _scan, _token_start
 
 from generators import rand_fact, rand_query
 from oracles import reference_parse_atom, reference_parse_query, reference_tokenize
@@ -142,22 +142,22 @@ SCAN_FRAGMENTS = [
 ]
 
 
-def test_tokenize_agrees_with_reference_scanner():
+def test_scan_agrees_with_reference_scanner():
     rng = random.Random(20261018)
     raised = 0
     for _ in range(3000):
         text = "".join(rng.choice(SCAN_FRAGMENTS) for _ in range(rng.randint(0, 12)))
         try:
-            kinds, texts, starts = reference_tokenize(text)
+            _, texts, starts = reference_tokenize(text)
         except ParseError as expected:
             raised += 1
-            for scan in (tokenize, parse_query, parse_atom):
+            for parse in (parse_query, parse_atom):
                 with pytest.raises(ParseError) as err:
-                    scan(text)
+                    parse(text)
                 assert (str(err.value), err.value.line, err.value.column) == (
                     str(expected), expected.line, expected.column), text
             continue
-        assert tokenize(text) == (kinds, texts), text
+        assert _scan(text) == texts, text
         # the error path's re-scan finds every token's offset, EOF's too
         assert [_token_start(text, i) for i in range(len(starts))] == starts, text
     assert 0 < raised < 3000
@@ -205,6 +205,15 @@ def test_parsers_agree_with_the_reference_parser_on_near_valid_texts():
             raised += isinstance(expected[0], type)
             assert _parse_outcome(parse, text) == expected, (parse.__name__, text)
     assert 0 < raised < 10000
+
+
+def test_every_one_character_token_agrees_with_the_reference_parser():
+    # each character alone, as a term, between two atoms and as a fact's
+    # argument: whether the parser reads it, and how it reports it if not
+    for c in [chr(i) for i in range(0x100)] + ["\u0661", "\u2028", "\ufeff"]:
+        for text in (c, f"q(x) :- A(x, {c})", f"q(x) :- A(x){c} B(x)", f"A({c})"):
+            for parse, reference in ((parse_query, reference_parse_query), (parse_atom, reference_parse_atom)):
+                assert _parse_outcome(parse, text) == _parse_outcome(reference, text), (parse.__name__, text)
 
 
 @pytest.mark.parametrize("parse, text, column, character", [
