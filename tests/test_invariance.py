@@ -12,9 +12,12 @@ fixed seed.  Known failures are strict xfails, each naming its ROADMAP
 item: a view's name and the order of the mappings decide which of two
 equivalent view expressions crosses (item 15), so `shuffle_mappings`
 and `rename_views` are xfails, and so are two fixed documents that
-show it.  Renaming a query's variables passes on these networks; item
-1's capture needs a view variable named like a canonical one, and its
-strict xfail is in test_cli.py.
+show it.  Renaming a query's variables passes on these networks.  Item
+1's capture needs a view variable named like a canonical one:
+`rename_view_variables_canonically` gives every view such names, and
+is a strict xfail, as is the fixed repro in test_cli.py.  Shuffling
+the atoms of the views and the query passes, and runs the labeling on
+reordered bodies.
 """
 
 import copy
@@ -103,6 +106,31 @@ def rename_peers_and_relations(doc, q, origin, rng):
     return doc, _renamed(q, relations=relations), peers[origin], peers, back
 
 
+def rename_view_variables_canonically(doc, q, origin, rng):
+    """Rename the variables of every view definition onto `v0`, `v1`,
+    ... in first-occurrence order, the names canonical forms use, so
+    that a definition variable the rewriting projects away can share a
+    name with one of the canonicalized query's (item 1)."""
+    doc = copy.deepcopy(doc)
+    for peer in doc["peers"]:
+        for view in peer["views"]:
+            definition = parse_query(view["def"])
+            variables = {v.name: f"v{i}" for i, v in enumerate(definition.variables())}
+            view["def"] = str(_renamed(definition, variables=variables))
+    return doc, q, origin, {}, {}
+
+
+def shuffle_atoms(doc, q, origin, rng):
+    """Shuffle the atoms of every view body and of the query."""
+    doc = copy.deepcopy(doc)
+    for peer in doc["peers"]:
+        for view in peer["views"]:
+            d = parse_query(view["def"])
+            view["def"] = str(ConjunctiveQuery(d.name, d.head_vars, rng.sample(d.body, len(d.body)), d.builtins))
+    q = ConjunctiveQuery(q.name, q.head_vars, rng.sample(q.body, len(q.body)), q.builtins)
+    return doc, q, origin, {}, {}
+
+
 def rename_query_variables(doc, q, origin, rng):
     """Rename the query's variables.  `rand_network` names view
     variables x0-x3, never `v<k>`, so this case cannot reach item 1's
@@ -138,9 +166,16 @@ _ITEM_15 = (
     "subst's first declared pair decide which of Pj's queries crosses (ROADMAP item 15)"
 )
 
+_ITEM_1 = (
+    "rew tests a constraint's variables against the unfolded body, where a projected-away "
+    "definition variable named like one of the query's captures the constraint (ROADMAP item 1)"
+)
+
 TRANSFORMS = [
     permute,
+    shuffle_atoms,
     rename_view_variables,
+    pytest.param(rename_view_variables_canonically, marks=pytest.mark.xfail(strict=True, reason=_ITEM_1)),
     rename_query_variables,
     rename_peers_and_relations,
     pytest.param(shuffle_mappings, marks=pytest.mark.xfail(strict=True, reason=_ITEM_15)),

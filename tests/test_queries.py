@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 import time
@@ -536,13 +537,190 @@ def test_core_of_a_single_centre_star_family_checks_constants_early(monkeypatch)
     assert calls <= 1000
 
 
+def _clique(k: int) -> ConjunctiveQuery:
+    xs = [Var(f"x{i}") for i in range(k)]
+    return ConjunctiveQuery("q", (), tuple(Atom("R", (a, b)) for a in xs for b in xs if a != b))
+
+
+def _clique_text(k: int) -> str:
+    return "q() :- " + ", ".join(sorted(f"R(v{i}, v{j})" for i in range(k) for j in range(k) if i != j))
+
+
 def test_core_of_the_six_clique_checks_edges_early(monkeypatch):
     # 720 automorphisms; body order visits 137,821 search nodes, the
-    # fail-first plan 24,691
-    q = parse_query("q() :- " + ", ".join(f"R(x{i}, x{j})" for i in range(6) for j in range(6) if i != j))
-    text, calls = _counted_canonical_text(monkeypatch, q)
-    assert text == "q() :- " + ", ".join(f"R(v{i}, v{j})" for i in range(6) for j in range(6) if i != j)
-    assert calls <= 50_000
+    # fail-first plan 24,691, and pruning with the automorphisms found
+    # so far 465
+    text, calls = _counted_canonical_text(monkeypatch, _clique(6))
+    assert text == _clique_text(6)
+    assert calls <= 1_000
+
+
+def test_labeling_of_the_six_clique_prunes_by_automorphisms(monkeypatch):
+    # `_cell_vars` runs once per labeling level whose atoms tie.  Every
+    # vertex order of the clique ties, so without the automorphisms the
+    # labeling opens 511 such levels.  With them it opens 4, one for each
+    # choice of a next vertex while two or more are open: there, a
+    # recorded automorphism maps each tie but the first onto an earlier one
+    levels = 0
+    cell_vars = queries_module._cell_vars
+
+    def counting(*args):
+        nonlocal levels
+        levels += 1
+        return cell_vars(*args)
+
+    monkeypatch.setattr(queries_module, "_cell_vars", counting)
+    canonicalize.cache_clear()
+    assert str(canonicalize(_clique(6))) == _clique_text(6)
+    assert levels <= 20
+
+
+def test_canonicalize_eight_clique():
+    # 40,320 automorphisms, none of them enumerated
+    assert _timed_canonical_text(_clique(8), bound_s=2) == _clique_text(8)
+
+
+def symmetric_family(rng: random.Random, kind: str) -> ConjunctiveQuery:
+    """A body with many automorphisms, shuffled: a clique, a directed
+    cycle or a complete bipartite graph over R; or a random body twice
+    over, the copy with its own non-head variables; or one of the
+    symmetric bodies with constraints between its variables; or a clique
+    or cycle with pendant R atoms and a copy with its own variables,
+    which retracts onto it.  The bipartite graph keeps the variables of
+    each side apart with `!=`, so that it is a core.  0-2 head
+    variables."""
+    if kind in ("doubled", "constrained", "retracting"):
+        bases = {"doubled": ["random"], "constrained": ["clique", "cycle", "bipartite"],
+                 "retracting": ["clique", "cycle"]}
+        base = symmetric_family(rng, rng.choice(bases[kind]))
+        body, head, builtins = list(base.body), base.head_vars, list(base.builtins)
+        variables = list(dict.fromkeys(v for a in body for v in a.variables()))
+        if kind == "constrained":
+            for _ in range(rng.randint(1, 2)):
+                builtins.append(BuiltinAtom(rng.choice(["!=", "=", "<"]), *rng.sample(variables, 2)))
+        else:
+            if kind == "retracting":
+                body += [Atom("R", (v, Var(f"z{i}"))) for i, v in enumerate(rng.sample(variables, 2))]
+            fresh = {v: Var(f"{v.name}c") for v in variables if v not in head}
+            body += [Atom(a.predicate, tuple(fresh.get(t, t) for t in a.args)) for a in body]
+            builtins += [BuiltinAtom(b.op, fresh.get(b.lhs, b.lhs), fresh.get(b.rhs, b.rhs)) for b in builtins]
+        rng.shuffle(body)
+        return ConjunctiveQuery("q", head, tuple(body), tuple(builtins))
+    builtins = []
+    if kind == "clique":
+        k = rng.randint(3, 5)
+        pairs = [(f"x{i}", f"x{j}") for i in range(k) for j in range(k) if i != j]
+    elif kind == "cycle":
+        k = rng.randint(3, 8)
+        pairs = [(f"x{i}", f"x{(i + 1) % k}") for i in range(k)]
+    elif kind == "bipartite":
+        pairs = [(f"x{i}", f"y{j}") for i in range(rng.randint(1, 3)) for j in range(rng.randint(2, 3))]
+        # a side's variables pairwise apart, or one edge would be the core
+        builtins = [BuiltinAtom("!=", Var(f"{side}{i}"), Var(f"{side}{j}"))
+                    for side in "xy" for i in range(3) for j in range(i) if any(f"{side}{i}" in p for p in pairs)]
+    else:
+        body = list(rand_query(rng, {"R": 2, "S": 1}, max_atoms=5, max_vars=4).body)
+        pairs = None
+    if pairs is not None:
+        body = [Atom("R", (Var(a), Var(b))) for a, b in pairs]
+    rng.shuffle(body)
+    variables = list(dict.fromkeys(v for a in body for v in a.variables()))
+    head = tuple(rng.sample(variables, rng.randint(0, min(2, len(variables)))))
+    return ConjunctiveQuery("q", head, tuple(body), tuple(builtins))
+
+
+def permutation_closed(rng: random.Random) -> ConjunctiveQuery:
+    """A body over 4-6 variables closed under a random permutation of
+    them, so that the permutation is one of its automorphisms: a few
+    random atoms over R, T and S and their images, at most 12 atoms,
+    with 0-1 head variables fixed by the permutation or not."""
+    while True:
+        xs = [Var(f"x{i}") for i in range(rng.randint(4, 6))]
+        p = dict(zip(xs, rng.sample(xs, len(xs))))
+        body = {}
+        for _ in range(rng.randint(2, 4)):
+            predicate, arity = rng.choice([("R", 2), ("R", 2), ("T", 3), ("S", 1)])
+            a = Atom(predicate, tuple(rng.choice(xs) for _ in range(arity)))
+            while a not in body:
+                body[a] = None
+                a = Atom(a.predicate, tuple(p[t] for t in a.args))
+        if len(body) <= 12:
+            body = list(body)
+            rng.shuffle(body)
+            variables = list(dict.fromkeys(v for a in body for v in a.variables()))
+            return ConjunctiveQuery("q", tuple(rng.sample(variables, rng.randint(0, 1))), tuple(body))
+
+
+def every_automorphism(q: ConjunctiveQuery) -> list[dict]:
+    # every permutation of q's variables, fixing the head, that maps the
+    # body onto itself, but the identity
+    variables, atoms = q.variables(), set(q.body)
+    found = []
+    for image in itertools.permutations(variables):
+        h = dict(zip(variables, image))
+        if all(h[v] == v for v in q.head_vars) and any(h[v] != v for v in variables):
+            if {Atom(a.predicate, tuple(h[t] for t in a.args)) for a in q.body} == atoms:
+                found.append(h)
+    return found
+
+
+def test_labeling_pruned_by_every_automorphism_agrees_with_unpruned():
+    # The labeling may take any automorphisms of the body, not only those
+    # the core search records: given the whole group, it still names the
+    # body as the unpruned search does, core or not.  An automorphism
+    # that moves a labelled variable must not prune: these bodies tell
+    # that apart.
+    rng = random.Random(20261021)
+    symmetric = 0
+    for _ in range(300):
+        q = permutation_closed(rng)
+        automorphisms = every_automorphism(q)
+        symmetric += bool(automorphisms)
+        pruned = queries_module._canonical_labeling(q.head_vars, q.body, q.builtins, automorphisms)
+        assert pruned == queries_module._canonical_labeling(q.head_vars, q.body, q.builtins), str(q)
+    assert symmetric >= 100, symmetric
+
+
+def _unpruned_core(q: ConjunctiveQuery) -> ConjunctiveQuery:
+    # `_core` without the automorphisms: retract onto the first smaller image
+    while (h := queries_module._smaller_image(q, len(q.body))) is not None:
+        body = dict.fromkeys(Atom(a.predicate, tuple(h.get(t, t) for t in a.args)) for a in q.body)
+        images = dict.fromkeys(BuiltinAtom(b.op, h.get(b.lhs, b.lhs), h.get(b.rhs, b.rhs)) for b in q.builtins)
+        builtins = [b for b in images if not (b.is_ground() and b.holds_ground())]
+        q = ConjunctiveQuery(q.name, q.head_vars, list(body), builtins)
+    return q
+
+
+@pytest.mark.parametrize("kind", ["clique", "cycle", "bipartite", "doubled", "constrained", "retracting"])
+def test_pruned_search_agrees_with_unpruned(kind):
+    rng = random.Random(f"pruning/{kind}")
+    recorded = 0
+    for _ in range(40):
+        q = symmetric_family(rng, kind)
+        q = ConjunctiveQuery(q.name, q.head_vars, list(dict.fromkeys(q.body)), q.builtins)
+        n = len(q.body)
+        # the first map with a smaller image, or None, is the same
+        first: list = []
+        assert queries_module._smaller_image(q, n, first) == queries_module._smaller_image(q, n), str(q)
+        core, automorphisms = queries_module._core(q)
+        assert repr(core) == repr(_unpruned_core(q)), str(q)
+        assert queries_module._smaller_image(core, len(core.body)) is None
+        # each recorded map is an automorphism of the core, and not the identity
+        atoms = set(core.body)
+        for h in automorphisms:
+            image = {Atom(a.predicate, tuple(h[t] if isinstance(t, Var) else t for t in a.args)) for a in core.body}
+            assert image == atoms
+            assert any(h[v] != v for v in h)
+        recorded += bool(first or automorphisms)
+        labeled = queries_module._canonical_labeling(core.head_vars, core.body, core.builtins, automorphisms)
+        assert labeled == queries_module._canonical_labeling(core.head_vars, core.body, core.builtins), str(q)
+        if len(q.variables()) <= 4 and len(q.body) <= 7:
+            canonicalize.cache_clear()
+            assert repr(canonicalize(q)) == repr(reference_canonicalize(q)), str(q)
+    # the families have automorphisms for the search to record, but for
+    # a doubled random body, whose first map folds the copy before any
+    if kind != "doubled":
+        assert recorded >= 10, recorded
 
 
 def test_canonical_forms_equal_iff_equivalent():
