@@ -2,14 +2,13 @@
 
 Relations are finite sets of constant tuples, checked once, row by
 row in the order given.  A query is evaluated by the search that
-decides containment, `queries.constrained_matches`, with the owning
-peer's facts as targets: body atoms joined fail first, candidates
-looked up in an index on an already-bound argument position, and a
-match kept when each comparison constraint's ground image holds, the
-one constraint rule of containment over targets that carry no
-constraints.  The matches are projected onto the head; the 0-ary
-relations {} and {()} act as false and true, so boolean queries come
-out as one of those two values.
+decides containment, `queries.match_atoms`, with the owning peer's
+facts as targets: body atoms joined fail first, candidates looked up
+in an index on a bound argument position, and each constraint tested
+where its last variable binds by containment's one rule, over facts
+the truth of its ground image.  The matches are projected onto the
+head; the 0-ary relations {} and {()} act as false and true, so
+boolean queries come out as one of those two values.
 
 The answer to a query posed at an origin peer is assembled from the
 agent's fixpoint: every derived query is evaluated on its own peer, the
@@ -26,7 +25,7 @@ from typing import Union
 from .agent import DEFAULT_STEP_CEILING, run
 from .errors import QueryError
 from .network import Network, Peer
-from .queries import ConjunctiveQuery, constrained_matches
+from .queries import ConjunctiveQuery, match_atoms
 
 __all__ = ["TupleSet", "AnswerReport", "join", "evaluate", "answer", "assemble_report", "row_key"]
 
@@ -100,7 +99,7 @@ def evaluate(q: ConjunctiveQuery, peer: Peer) -> TupleSet:
     on the peer's schema."""
     peer.require_base(q)
     head = q.head_vars
-    envs = constrained_matches(q.body, peer.facts, {}, q.builtins, ())
+    envs = match_atoms(q.body, peer.facts, {}, q.builtins)
     return TupleSet(len(head), frozenset({tuple([env[v].value for v in head]) for env in envs}))
 
 

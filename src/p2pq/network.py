@@ -47,7 +47,7 @@ class RelationSignature:
     arity: int
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name.isidentifier():
+        if not (isinstance(self.name, str) and self.name.isascii() and self.name.isidentifier()):
             raise ValidationError(f"invalid relation name {self.name!r}")
         if not isinstance(self.arity, int) or isinstance(self.arity, bool) or self.arity < 1:
             raise ValidationError(f"relation {self.name!r}: arity must be a positive integer")

@@ -31,7 +31,7 @@ import string
 from typing import NoReturn
 
 from .errors import ParseError, QueryError
-from .queries import Atom, BuiltinAtom, ConjunctiveQuery, Const, Term, Var
+from .queries import _IDENT_START, _VAR_START, Atom, BuiltinAtom, ConjunctiveQuery, Const, Term, Var
 
 __all__ = ["parse_query", "parse_atom"]
 
@@ -42,10 +42,8 @@ _TOKEN_RE = re.compile(r'\s*(:-|<=|>=|!=|[=<>(),]|-?[0-9]+|"(?:[^"\\]|\\.)*"|[A-
 
 _UNTERMINATED_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*$')
 
-# What the parser tests a token text against.  A term is classified by
-# its first character.
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_VAR_START = frozenset(string.ascii_lowercase + "_")
+# What the parser tests a token text against, beside the name sets of
+# `queries`.  A term is classified by its first character.
 _DIGITS = frozenset(string.digits)
 _OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 # The one-character tokens some rule of the grammar reads.  Any other

@@ -19,17 +19,18 @@ Everything here is an immutable value and every operation is a pure
 function, so results can be cached and shared freely.
 
 Containment is decided by homomorphism existence, and evaluation is
-the same search over a peer's facts.  One rule, `constrained_matches`,
-decides for both whether a comparison constraint survives a match: its
-image is literally one of the target's constraints (both in normal
-orientation), or a ground comparison that holds.  Facts carry none, so
-over facts the rule is the truth of each ground image.  It is sound
+the same search over a peer's facts.  `match_atoms` holds the one rule
+for both on comparison constraints, testing each where its last
+variable binds: its image is literally one of the target's constraints
+(both in normal orientation), or a ground comparison that holds; over
+facts, which carry none, the truth of each ground image.  It is sound
 but deliberately incomplete; no interval reasoning is attempted.
 """
 
 from __future__ import annotations
 
 import operator
+import string
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -46,7 +47,6 @@ __all__ = [
     "ConjunctiveQuery",
     "homomorphisms",
     "match_atoms",
-    "constrained_matches",
     "contains",
     "equivalent",
     "canonicalize",
@@ -60,6 +60,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # terms
 
+# The grammar's names (`parsing`): `[A-Za-z_][A-Za-z0-9_]*`, which are
+# exactly the ASCII identifiers, a variable's starting lowercase or "_".
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_VAR_START = frozenset(string.ascii_lowercase + "_")
+
 
 @dataclass(frozen=True, slots=True)
 class Var:
@@ -68,8 +73,9 @@ class Var:
     name: str
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name.isidentifier():
-            raise QueryError(f"invalid variable name {self.name!r}")
+        name = self.name
+        if not (isinstance(name, str) and name.isascii() and name.isidentifier() and name[0] in _VAR_START):
+            raise QueryError(f"invalid variable name {name!r}")
 
     def __str__(self) -> str:
         return self.name
@@ -125,8 +131,9 @@ class Atom:
     args: tuple[Term, ...]
 
     def __post_init__(self):
-        if not isinstance(self.predicate, str) or not self.predicate.isidentifier():
-            raise QueryError(f"invalid predicate name {self.predicate!r}")
+        p = self.predicate
+        if not (isinstance(p, str) and p.isascii() and p.isidentifier()):
+            raise QueryError(f"invalid predicate name {p!r}")
         args = self.args
         if type(args) is not tuple:
             args = tuple(args)
@@ -243,7 +250,7 @@ class ConjunctiveQuery:
 
     def __post_init__(self):
         name = self.name
-        if not isinstance(name, str) or not name.isidentifier():
+        if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
             raise QueryError(f"invalid query name {name!r}")
         for attr in ("head_vars", "body", "builtins"):
             value = getattr(self, attr)
@@ -449,33 +456,49 @@ def _unexplored(found: Sequence[Atom], env: dict, automorphisms: list) -> Iterat
 
 
 def match_atoms(
-    atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Var, Term], automorphisms: Optional[list] = None,
+    atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Var, Term],
+    constraints: Sequence[BuiltinAtom] = (), target_constraints: Iterable[BuiltinAtom] = (),
+    automorphisms: Optional[list] = None,
 ) -> Iterator[dict]:
-    """Every extension of env0 that maps each atom onto some target atom.
+    """Every extension of env0 that maps each atom onto some target atom
+    and under which every constraint survives.
 
-    The atoms are joined fail first (`_connected_order`): next comes
-    the atom, among those holding a constant or a bound variable, with
-    the fewest distinct unbound variables, the lower body index
-    breaking ties.  The plan decides the order in which the extensions
-    come, never which ones come.  An atom's candidates come from an
-    index of the targets on its first bound argument position; each
-    index is built on first use and shared by the atoms with the same
-    predicate, arity and position.  The plan's argument tests filter
-    them (`_candidates`), and a candidate that passes only binds the
-    step's new variables, in a copy of the env made for it.  The search
-    keeps an explicit stack, so long bodies do not recurse.
+    The atoms are joined in `_connected_order`'s fail-first plan, which
+    decides the order in which the extensions come, never which ones
+    come.  Each step's candidates come from an index of the targets on
+    its key position, built on first use and shared by the steps with
+    the same predicate, arity and position, and pass the step's tests
+    (`_candidates`); one that passes binds the step's new variables in
+    a copy of the env made for it.  The search keeps an explicit stack,
+    so long bodies do not recurse.
+
+    The module's one constraint rule lives here: a constraint survives
+    when its image is literally one of `target_constraints` (so a query
+    contains itself), or else a ground comparison that holds.  It is
+    tested right after the step that binds its last variable, cutting
+    the search there, or before the search when env0 resolves it.
 
     `automorphisms`, when given, is a list of automorphisms of the
-    targets, each a map of their variables as an env is, that the
-    caller may extend while the search runs.  A node then skips each
-    candidate whose subtree is the image of an earlier sibling's under
-    one that fixes the node's bindings (`_unexplored`).  The search
-    yields only some of the extensions: every other one is the image of
-    a yielded one under a product of recorded automorphisms, which the
-    caller must not be able to tell apart.  With an empty list that
-    stays empty, the same extensions come as without one."""
+    targets and their constraints, each a map of their variables as an
+    env is, that the caller may extend while the search runs.  A node
+    then skips each candidate whose subtree is the image of an earlier
+    sibling's under one that fixes the node's bindings (`_unexplored`);
+    a partial map fails a constraint exactly when its image does.  The
+    search yields only some of the extensions: every other one is the
+    image of a yielded one under a product of recorded automorphisms,
+    which the caller must not be able to tell apart.  With an empty
+    list that stays empty, the same extensions come as without one."""
     env0 = dict(env0)
     plan = _connected_order(atoms, env0)
+    tests = None  # per step, the constraints whose last variable it binds; last, those env0 resolves
+    if constraints:
+        literal = frozenset(target_constraints)
+        step_of = {v: i for i, step in enumerate(plan) for v, _ in step[3]}
+        tests = [[] for _ in range(len(plan) + 1)]
+        for b in constraints:
+            tests[max(step_of.get(b.lhs, -1), step_of.get(b.rhs, -1))].append(b)
+        if not _survive(tests[-1], env0, literal):
+            return
     if not plan:
         yield env0
         return
@@ -490,6 +513,7 @@ def match_atoms(
     while stack:
         step = len(stack) - 1
         binds = plan[step][3]
+        checks = tests and tests[step]
         env = envs[-1]
         for cand in stack[-1]:
             if binds:
@@ -497,6 +521,8 @@ def match_atoms(
                 env2 = env.copy()
                 for v, k in binds:
                     env2[v] = args[k]
+                if checks and not _survive(checks, env2, literal):
+                    continue
             else:
                 env2 = env
             if step == last:
@@ -510,60 +536,34 @@ def match_atoms(
             envs.pop()
 
 
-def _builtin_image(b: BuiltinAtom, env: Mapping[Var, Term]) -> BuiltinAtom:
-    return BuiltinAtom(b.op, env.get(b.lhs, b.lhs), env.get(b.rhs, b.rhs))
+def _survive(constraints: Iterable[BuiltinAtom], env: Mapping[Var, Term], literal: frozenset) -> bool:
+    # `match_atoms`' rule; a ground image is compared on its two constants
+    for b in constraints:
+        lhs, rhs = env.get(b.lhs, b.lhs), env.get(b.rhs, b.rhs)
+        if not (literal and BuiltinAtom(b.op, lhs, rhs) in literal) and not (
+            type(lhs) is Const and type(rhs) is Const and compare_constants(b.op, lhs.value, rhs.value)
+        ):
+            return False
+    return True
 
 
 def _ground_true(b: BuiltinAtom) -> bool:
     return b.is_ground() and b.holds_ground()
 
 
-def constrained_matches(
-    atoms: Sequence[Atom], targets: Iterable[Atom], env0: Mapping[Var, Term],
-    constraints: Sequence[BuiltinAtom], target_constraints: Iterable[BuiltinAtom],
-    automorphisms: Optional[list] = None,
-) -> Iterator[dict]:
-    """`match_atoms` from atoms into targets, keeping the envs under which
-    every constraint survives (the module's one rule); with no
-    constraints, every env.  The literal test comes first, so a query
-    contains itself even when one of its constraints is ground and
-    false.  A constraint's two terms are resolved through the env, and
-    its image is built as a `BuiltinAtom` only when there are target
-    constraints to find it among; a ground image is compared directly,
-    its operator being already in normal orientation.  `automorphisms`
-    goes to `match_atoms`."""
-    envs = match_atoms(atoms, targets, env0, automorphisms)
-    if not constraints:
-        return envs
-    literal = frozenset(target_constraints)
-
-    def survives(env: dict) -> bool:
-        for b in constraints:
-            lhs, rhs = env.get(b.lhs, b.lhs), env.get(b.rhs, b.rhs)
-            if literal and BuiltinAtom(b.op, lhs, rhs) in literal:
-                continue
-            if not (isinstance(lhs, Const) and isinstance(rhs, Const)
-                    and compare_constants(b.op, lhs.value, rhs.value)):
-                return False
-        return True
-
-    return filter(survives, envs)
-
-
 def _homs(frm: ConjunctiveQuery, to: ConjunctiveQuery, automorphisms: Optional[list] = None) -> Iterator[dict]:
-    """`constrained_matches` from frm into to, heads mapped pointwise."""
+    """`match_atoms` from frm into to, heads mapped pointwise."""
     if len(frm.head_vars) != len(to.head_vars):
-        raise QueryError(
-            f"incomparable queries: head arity {len(frm.head_vars)} vs {len(to.head_vars)}"
-        )
+        raise QueryError(f"incomparable queries: head arity {len(frm.head_vars)} vs {len(to.head_vars)}")
     head = dict(zip(frm.head_vars, to.head_vars))
-    return constrained_matches(frm.body, to.body, head, frm.builtins, to.builtins, automorphisms)
+    return match_atoms(frm.body, to.body, head, frm.builtins, to.builtins, automorphisms)
 
 
 def homomorphisms(frm: ConjunctiveQuery, to: ConjunctiveQuery) -> list[dict[Var, Term]]:
     """All variable maps h with h(head of frm) = head of to pointwise and
     h(a) a body atom of `to` for every body atom a of `frm`, with every
-    constraint of `frm` surviving per `constrained_matches`' rule.
+    constraint of `frm` surviving per `match_atoms`' rule, tested where
+    the search binds its last variable.
 
     The maps come in no fixed order: it follows `match_atoms`'s plan.
     Queries with different head arities are incomparable and raise.
@@ -637,7 +637,7 @@ def _core(q: ConjunctiveQuery) -> tuple[ConjunctiveQuery, list]:
         if h is None:
             return q, automorphisms
         body = dict.fromkeys(Atom(a.predicate, tuple([h.get(t, t) for t in a.args])) for a in q.body)
-        builtins = dict.fromkeys(_builtin_image(b, h) for b in q.builtins)
+        builtins = dict.fromkeys(BuiltinAtom(b.op, h.get(b.lhs, b.lhs), h.get(b.rhs, b.rhs)) for b in q.builtins)
         q = ConjunctiveQuery(q.name, q.head_vars, list(body), [b for b in builtins if not _ground_true(b)])
 
 

@@ -324,6 +324,18 @@ def test_relation_arity_positive():
         RelationSignature("R", 0)
 
 
+def test_relation_names_the_grammar_cannot_spell_are_refused():
+    # no fact or query could name such a relation, and a rendered
+    # network holding it would not load again
+    with pytest.raises(ValidationError) as err:
+        RelationSignature("é", 1)
+    assert str(err.value) == "invalid relation name 'é'"
+    doc = {"peers": [{"id": "P", "schema": [{"name": "é", "arity": 1}]}], "mappings": []}
+    with pytest.raises(ValidationError) as err:
+        load_network(json.dumps(doc))
+    assert str(err.value) == "peer 'P'.schema[0]: invalid relation name 'é'"
+
+
 _DELETE = object()
 _VIEW = {"name": "v", "def": "v(x) :- R(x, y)"}
 _MAPPING = {"from_peer": "P1", "from_view": "v", "to_peer": "P2", "to_view": "w"}

@@ -32,6 +32,11 @@ x, y = Var("x"), Var("y")
     "make, message",
     [
         (lambda: Var("1x"), "invalid variable name '1x'"),
+        # names the grammar cannot spell: a variable starts lowercase or
+        # with "_", and every name is ASCII
+        (lambda: Var("X"), "invalid variable name 'X'"),
+        (lambda: Var("ß"), "invalid variable name 'ß'"),
+        (lambda: Atom("é", (x,)), "invalid predicate name 'é'"),
         (lambda: Const(True), "constants must be int or str, got True"),
         (lambda: Atom("1R", (x,)), "invalid predicate name '1R'"),
         (lambda: Atom("R", (x, 1)), "not a term: 1"),
@@ -40,6 +45,7 @@ x, y = Var("x"), Var("y")
         (lambda: BuiltinAtom("<", x, Const(1)).holds_ground(), "constraint x < 1 is not ground"),
         (lambda: queries_module.compare_constants("~", 1, 2), "unknown comparison operator '~'"),
         (lambda: ConjunctiveQuery("1q", (x,), (Atom("A", (x,)),)), "invalid query name '1q'"),
+        (lambda: ConjunctiveQuery("é", (x,), (Atom("A", (x,)),)), "invalid query name 'é'"),
         (lambda: ConjunctiveQuery("q", (), ()), "query 'q' has an empty body"),
         (lambda: ConjunctiveQuery("q", (), (x,)), "not an atom in body of 'q': Var(name='x')"),
         (lambda: ConjunctiveQuery("q", (), (Atom("A", (x,)),), (Atom("A", (x,)),)),
@@ -184,6 +190,91 @@ def test_containment_agrees_with_brute_force():
         assert contains(a, b) == brute_force_contains(a, b), f"{a} || {b}"
         maps = {frozenset(h.items()) for h in homomorphisms(a, b)}
         assert maps == brute_force_homomorphisms(a, b), f"{a} || {b}"
+
+
+_PLACEMENTS = ("variables", "constant", "head", "ground true", "ground false")
+
+
+def _placed_constraint(rng: random.Random, kind: str, head: list, others: list) -> BuiltinAtom:
+    # one constraint of the kind: between two non-head variables, a
+    # non-head variable and a constant, on head variables only (so the
+    # search tests it before it starts), or ground and true or false
+    consts = [Const(1), Const(3), Const("a")]
+    op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+    if kind == "variables":
+        return BuiltinAtom(op, *rng.sample(others, 2))
+    if kind == "constant":
+        return BuiltinAtom(op, rng.choice(others), rng.choice(consts))
+    if kind == "head":
+        return BuiltinAtom(op, rng.choice(head), rng.choice(head + consts))
+    while True:
+        b = BuiltinAtom(op, rng.choice(consts), rng.choice(consts))
+        if b.holds_ground() == (kind == "ground true"):
+            return b
+
+
+def test_homomorphisms_with_constraints_agree_with_brute_force():
+    # each constraint is tested where the search binds its last variable,
+    # or before the search: the maps are those of the exhaustive oracle
+    rng = random.Random(3030)
+    seen = dict.fromkeys(_PLACEMENTS, 0)
+    found = 0
+    for _ in range(300):
+        a = rand_query(rng, {"R": 2, "S": 1}, max_atoms=4, max_vars=5)
+        variables = list(a.variables())
+        head = rng.sample(variables, min(1, len(variables)))
+        others = [v for v in variables if v not in head]
+        kinds = [k for k in _PLACEMENTS if (k != "variables" or len(others) > 1)
+                 and (k != "constant" or others) and (k != "head" or head)]
+        chosen = rng.sample(kinds, rng.randint(1, 2))
+        for k in chosen:
+            seen[k] += 1
+        builtins = [_placed_constraint(rng, k, head, others) for k in chosen]
+        a = ConjunctiveQuery("qa", head, a.body, builtins)
+        # b holds an image of a's body and some of its constraints' images, head fixed
+        image = {v: rng.choice([Var("x0"), Var("x1"), Const(1), Const(3)]) for v in others}
+        b_body = [Atom(atom.predicate, tuple(image.get(t, t) for t in atom.args)) for atom in a.body]
+        b_body += rand_query(rng, {"R": 2, "S": 1}, max_atoms=2, max_vars=3).body
+        bound = {v for atom in b_body for v in atom.variables()}
+        images = [BuiltinAtom(c.op, image.get(c.lhs, c.lhs), image.get(c.rhs, c.rhs)) for c in builtins]
+        b_builtins = [c for c in images if set(c.variables()) <= bound and rng.random() < 0.5]
+        b = ConjunctiveQuery("qb", head, rng.sample(b_body, len(b_body)), b_builtins)
+        for frm, to in ((a, b), (b, a), (a, a)):
+            maps = {frozenset(h.items()) for h in homomorphisms(frm, to)}
+            assert maps == brute_force_homomorphisms(frm, to), f"{frm} || {to}"
+            found += bool(maps)
+    assert min(seen.values()) >= 30, seen  # the generator must reach every placement
+    assert found >= 300
+
+
+def test_a_constraint_is_tested_where_its_last_variable_binds(monkeypatch):
+    # R(x, y), R(y, z) into the 5x5 grid of R facts from x = 0: y binds at
+    # the first search node and z at each node under it.  Before the
+    # search, a false constraint on x stops it; after the first step,
+    # y < 1 leaves one of its five subtrees.  A constraint on z is tested
+    # on complete maps only, and every one is visited.
+    calls = 0
+    candidates = queries_module._candidates
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return candidates(*args)
+
+    monkeypatch.setattr(queries_module, "_candidates", counting)
+    z = Var("z")
+    atoms = [Atom("R", (x, y)), Atom("R", (y, z))]
+    grid = [Atom("R", (Const(i), Const(j))) for i in range(5) for j in range(5)]
+    env0 = {x: Const(0)}
+    for constraint, nodes, maps in [
+        (BuiltinAtom("!=", x, Const(0)), 0, 0),
+        (BuiltinAtom("<", y, Const(1)), 2, 5),
+        (BuiltinAtom("<", z, Const(1)), 6, 5),
+        (BuiltinAtom("<", Const(1), Const(0)), 0, 0),
+    ]:
+        calls = 0
+        assert len(list(queries_module.match_atoms(atoms, grid, env0, [constraint]))) == maps
+        assert calls == nodes, constraint
 
 
 def _step_tests_seen(plan, head_vars) -> set[str]:
@@ -555,6 +646,28 @@ def test_core_of_the_six_clique_checks_edges_early(monkeypatch):
     assert calls <= 1_000
 
 
+def _doubled_bipartite(k: int) -> ConjunctiveQuery:
+    # K(k,k) over R with `b0 != 3, a(k-1) <= b(k-2)`, and a copy with its
+    # own variables and the same constraints
+    atoms = [f"R(a{i}{d}, b{j}{d})" for d in ("", "d") for i in range(k) for j in range(k)]
+    constraints = f"b0 != 3, a{k - 1} <= b{k - 2}, b0d != 3, a{k - 1}d <= b{k - 2}d"
+    return parse_query(f"q() :- {', '.join(atoms)}, {constraints}")
+
+
+def test_core_of_the_doubled_bipartite_body_cuts_at_its_constraints(monkeypatch):
+    # a constraint is tested where its last variable binds, so a map that
+    # breaks one is cut there: 91 search nodes, where testing complete
+    # maps only visits 133,882
+    text, calls = _counted_canonical_text(monkeypatch, _doubled_bipartite(3))
+    assert text == "q() :- R(v0, v1), R(v0, v2), v1 != 3, v0 <= v2"
+    assert calls <= 1_000
+
+
+def test_canonicalize_doubled_bipartite_with_constraints():
+    # testing complete maps only, this ran past 300 s
+    assert _timed_canonical_text(_doubled_bipartite(4), bound_s=1) == "q() :- R(v0, v1), R(v0, v2), v1 != 3, v0 <= v2"
+
+
 def test_labeling_of_the_six_clique_prunes_by_automorphisms(monkeypatch):
     # `_cell_vars` runs once per labeling level whose atoms tie.  Every
     # vertex order of the clique ties, so without the automorphisms the
@@ -585,20 +698,28 @@ def symmetric_family(rng: random.Random, kind: str) -> ConjunctiveQuery:
     cycle or a complete bipartite graph over R; or a random body twice
     over, the copy with its own non-head variables; or one of the
     symmetric bodies with constraints between its variables; or a clique
-    or cycle with pendant R atoms and a copy with its own variables,
-    which retracts onto it.  The bipartite graph keeps the variables of
+    or complete bipartite graph with `!=` constraints against a constant
+    or `<=` ones between its variables, twice over; or a clique or cycle
+    with pendant R atoms and a copy with its own variables, which
+    retracts onto it.  The bipartite graph keeps the variables of
     each side apart with `!=`, so that it is a core.  0-2 head
     variables."""
-    if kind in ("doubled", "constrained", "retracting"):
+    if kind in ("doubled", "constrained", "retracting", "doubled_constrained"):
         bases = {"doubled": ["random"], "constrained": ["clique", "cycle", "bipartite"],
-                 "retracting": ["clique", "cycle"]}
+                 "retracting": ["clique", "cycle"], "doubled_constrained": ["clique", "bipartite"]}
         base = symmetric_family(rng, rng.choice(bases[kind]))
         body, head, builtins = list(base.body), base.head_vars, list(base.builtins)
         variables = list(dict.fromkeys(v for a in body for v in a.variables()))
         if kind == "constrained":
             for _ in range(rng.randint(1, 2)):
                 builtins.append(BuiltinAtom(rng.choice(["!=", "=", "<"]), *rng.sample(variables, 2)))
-        else:
+        if kind == "doubled_constrained":
+            for _ in range(rng.randint(1, 2)):
+                if rng.random() < 0.5:
+                    builtins.append(BuiltinAtom("!=", rng.choice(variables), Const(3)))
+                else:
+                    builtins.append(BuiltinAtom("<=", *rng.sample(variables, 2)))
+        if kind != "constrained":
             if kind == "retracting":
                 body += [Atom("R", (v, Var(f"z{i}"))) for i, v in enumerate(rng.sample(variables, 2))]
             fresh = {v: Var(f"{v.name}c") for v in variables if v not in head}
@@ -691,7 +812,9 @@ def _unpruned_core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     return q
 
 
-@pytest.mark.parametrize("kind", ["clique", "cycle", "bipartite", "doubled", "constrained", "retracting"])
+@pytest.mark.parametrize(
+    "kind", ["clique", "cycle", "bipartite", "doubled", "constrained", "retracting", "doubled_constrained"]
+)
 def test_pruned_search_agrees_with_unpruned(kind):
     rng = random.Random(f"pruning/{kind}")
     recorded = 0
