@@ -40,7 +40,7 @@ from .network import (
     neighbors,
     render_network,
 )
-from .oracle import DEFAULT_NODE_CEILING, TheoremReport, check_theorem, weak_closure
+from .oracle import TheoremReport, check_theorem, weak_closure
 from .parsing import parse_atom, parse_query
 from .queries import (
     Atom,
@@ -67,7 +67,6 @@ __all__ = [
     "CeilingError",
     "ConjunctiveQuery",
     "Const",
-    "DEFAULT_NODE_CEILING",
     "DEFAULT_STEP_CEILING",
     "MappingPair",
     "Network",

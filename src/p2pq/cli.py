@@ -12,7 +12,9 @@ file that is not UTF-8 text, malformed JSON, bad query syntax, output
 that cannot be written, such as to a closed pipe).  Output is
 deterministic: equal inputs produce byte-identical output.  The
 environment variable P2PQ_STEP_CEILING overrides the agent's fixpoint
-ceiling; a value that is not a positive integer is a domain failure.
+ceiling, and for oracle-check it bounds the weak closure's nodes as
+well.  Its value must be a positive integer written in ASCII digits
+alone (no sign, spaces or underscores); any other is a domain failure.
 
 Each call reads the documented shape directly, without argparse: a
 command, the file, then that command's options from the `_COMMANDS`
@@ -148,7 +150,11 @@ def _step_ceiling() -> int:
     if raw is None:
         return DEFAULT_STEP_CEILING
     try:
-        value = int(raw)
+        # ASCII digits only, as the query grammar writes integers: int()
+        # also takes a sign, spaces, underscores and other scripts' digits
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError
+        value = int(raw)  # past the integer digit limit, a ValueError too
         if value < 1:
             raise ValueError
     except ValueError:

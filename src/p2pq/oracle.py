@@ -16,7 +16,8 @@ inside `rew` therefore shows on both sides alike and passes this check.
 check_theorem compares the closure with the agent's fixpoint peer by
 peer.  Both sides hold canonical forms, which are cores with a minimum
 labeling, so set equality is equivalence: on every network where both
-terminate, the two must coincide.
+terminate, the two must coincide.  One ceiling bounds both: the agent's
+steps and the closure's reached pairs.
 """
 
 from __future__ import annotations
@@ -35,13 +36,10 @@ from .queries import (
 from .rewriting import rew
 
 __all__ = [
-    "DEFAULT_NODE_CEILING",
     "TheoremReport",
     "weak_closure",
     "check_theorem",
 ]
-
-DEFAULT_NODE_CEILING = 10**5
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,13 +68,15 @@ def weak_closure(
     net: Network,
     origin: str,
     q: ConjunctiveQuery,
-    node_ceiling: int = DEFAULT_NODE_CEILING,
+    node_ceiling: int = DEFAULT_STEP_CEILING,
 ) -> dict[str, frozenset[ConjunctiveQuery]]:
     """Everything derivable from q at the origin peer: each popped pair
     is rewritten toward its peer's neighbors in declaration order.  The
     result maps every peer, in declaration order, to its reached set of
     canonical forms (possibly empty).  `rew` returns canonical forms, so
-    equal queries are exactly equivalent ones."""
+    equal queries are exactly equivalent ones.  Reaching more than
+    `node_ceiling` pairs raises CeilingError; the default is the agent's
+    default step ceiling."""
     net.peer(origin).require_base(q)
     root = canonicalize(q)
     closure: dict[str, set[ConjunctiveQuery]] = {pid: set() for pid in net.peer_ids()}
@@ -102,14 +102,19 @@ def check_theorem(
     origin: str,
     q: ConjunctiveQuery,
     step_ceiling: int = DEFAULT_STEP_CEILING,
-    node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> TheoremReport:
     """Certify that the agent's fixpoint equals the weak closure on this
     input, peer by peer.  Both sides hold canonical forms, so the
     differences are plain set differences, listed with peers in
-    declaration order and each peer's queries sorted by their text."""
+    declaration order and each peer's queries sorted by their text.
+
+    One bound serves both traversals: the agent stops past
+    `step_ceiling` steps and the closure past `step_ceiling` nodes, each
+    with CeilingError.  When the agent finishes, the closure holds the
+    same pairs, so the closure's bound only stops a closure that
+    outgrows the agent's fixpoint."""
     agent_sets = run(net, origin, q, step_ceiling=step_ceiling).per_peer_queries
-    closure_sets = weak_closure(net, origin, q, node_ceiling=node_ceiling)
+    closure_sets = weak_closure(net, origin, q, node_ceiling=step_ceiling)
     only_agent: list[tuple[str, ConjunctiveQuery]] = []
     only_closure: list[tuple[str, ConjunctiveQuery]] = []
     for pid in net.peer_ids():

@@ -98,8 +98,9 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
 
     A core makes no such test.  At the first cover short of the full
     body, one search for an endomorphism whose image is smaller than
-    q's body decides whether q is a core; `canonicalize` retracts onto
-    such images until that search finds none.  A core has no proper
+    q's body decides whether q is a core, pruned by the automorphisms it
+    meets as `_core`'s search is; `canonicalize` retracts onto such
+    images until that search finds none.  A core has no proper
     retract, so it maps into no q[m] but the full one, and every other
     cover is refused at once.  q need not be a core: the reduct of a
     canonical query with constraints may not be one.
@@ -141,7 +142,7 @@ def minicon(q: ConjunctiveQuery, views: Sequence[ViewDefinition], owner: str) ->
             ok = memo.get(mask)
             if ok is None:
                 if core is None:
-                    core = _smaller_image(q, n) is None
+                    core = _smaller_image(q, n, []) is None
                 # a core folds into none of its proper sub-bodies.  q[m] is
                 # safe: a view's head variables occur in its body, so each
                 # candidate's args occur in its folds' images

@@ -65,13 +65,25 @@ def test_validate_non_utf8_file_is_usage_error(tmp_path, capsys):
     )
 
 
-def test_validate_invalid_content_is_domain_error(tmp_path, capsys):
+def _two_peer_mapping_to(view):
     doc = json.loads(TWO_PEER.read_text())
-    doc["mappings"][0]["to_view"] = "nope"
+    doc["mappings"][0]["to_view"] = view
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_two_peer_mapping_to("nope"), "mapping 'Pi'->'Pj': unknown view 'nope' on peer 'Pj'"),
+    # a malformed part of the document is named
+    ({"peers": [{"id": "P", "views": [{"name": "v"}]}]}, "peer 'P'.views[0]: needs 'name' and 'def'"),
+    # a bad fact after a good one is named by its index, line and column
+    ({"peers": [{"id": "P", "schema": [{"name": "R", "arity": 2}], "facts": ["R(1, 2)", "R(1, $)"]}]},
+     "peer 'P', facts[1]: line 1, column 6: unexpected character '$'"),
+], ids=["unknown-view", "bad-view", "bad-fact"])
+def test_validate_invalid_content_is_domain_error(doc, message, tmp_path, capsys):
     bad = tmp_path / "net.json"
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 1
-    assert "unknown view" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_validate_missing_file(capsys):
@@ -84,16 +96,60 @@ def test_unreadable_path_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot read {str(tmp_path)!r}: Is a directory\n"
 
 
+@pytest.fixture
+def big_network(tmp_path):
+    """A one-peer network file whose answer to BIG_QUERY has 5,000 rows."""
+    doc = {"peers": [{"id": "P", "schema": [{"name": "R", "arity": 2}],
+                      "views": [{"name": "v", "def": "v(x, y) :- R(x, y)"}],
+                      "facts": [f"R({i}, {i + 1})" for i in range(5000)]}], "mappings": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+BIG_QUERY = "q(x, y) :- R(x, y)"
+
+
+def test_answer_of_5000_rows_comes_out_whole(big_network, capsys):
+    argv = ["answer", big_network, "--peer", "P", "--query", BIG_QUERY]
+    assert main(argv) == 0
+    rows = [f"({i}, {i + 1})" for i in range(5000)]
+    assert capsys.readouterr().out == (
+        "origin: P\nquery: q(x, y) :- R(x, y)\npeer P: 1 queries, 5000 rows\n  q(v0, v1) :- R(v0, v1)\n"
+        + "".join(f"    {row}\n" for row in rows) + "union: 5000 rows\n" + "".join(f"  {row}\n" for row in rows)
+    )
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["union"]["rows"] == doc["peers"]["P"]["rows"] == [[i, i + 1] for i in range(5000)]
+
+
 class _ClosedPipe:
+    """stdout whose reader stops after `allowed` characters: a write
+    that would go past them fails, as a write to a closed pipe does."""
+
+    def __init__(self, allowed=0):
+        self.allowed = allowed
+        self.text = ""
+
     def write(self, text):
-        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        if len(self.text) + len(text) > self.allowed:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        self.text += text
+
+    def flush(self):
+        pass
 
 
-def test_closed_output_pipe_is_a_write_error(capsys):
-    # a failed write is not a failed read of the network file
-    with contextlib.redirect_stdout(_ClosedPipe()):
-        assert main(["answer", NET, "--peer", "Pi", "--query", QUERY]) == 2
+@pytest.mark.parametrize("allowed", [0, len("origin: P\n"), 50_000], ids=["first-write", "first-line", "in-the-rows"])
+def test_closed_output_pipe_is_a_write_error(big_network, allowed, capsys):
+    # a failed write is not a failed read of the network file, whether
+    # it is the first write or one after others got through, as when
+    # `p2pq answer ... | head -n 1` stops reading
+    pipe = _ClosedPipe(allowed)
+    with contextlib.redirect_stdout(pipe):
+        assert main(["answer", big_network, "--peer", "P", "--query", BIG_QUERY]) == 2
     assert capsys.readouterr().err == "error: cannot write output: Broken pipe\n"
+    assert bool(pipe.text) == (allowed > 0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -357,9 +413,16 @@ def test_answer_trace_flag(capsys):
     assert answer_report_from_dict(doc) == direct
 
 
-def test_answer_bad_query_is_usage_error(capsys):
-    assert main(["answer", NET, "--peer", "Pi", "--query", "q(x :- A(x)"]) == 2
-    assert "bad query" in capsys.readouterr().err
+@pytest.mark.parametrize("query, message", [
+    ("q(x :- A(x)", "line 1, column 5: expected ')', got ':-'"),
+    ('q(x) :- A(x, "ab', "line 1, column 14: unterminated string constant"),
+    ("q(x) :- A(x, y); B(y)", "line 1, column 16: unexpected character ';'"),
+], ids=["unclosed-head", "unterminated-string", "no-token"])
+def test_answer_bad_query_is_usage_error(query, message, capsys):
+    # positioned: an unclosed head, an unterminated string, then a
+    # character that starts no token
+    assert main(["answer", NET, "--peer", "Pi", "--query", query]) == 2
+    assert capsys.readouterr().err == f"error: bad query: {message}\n"
 
 
 def test_answer_query_of_constraints_only_is_usage_error(capsys):
@@ -385,16 +448,17 @@ def test_answer_view_level_query_is_domain_error(capsys):
 
 
 def test_answer_respects_step_ceiling_env(monkeypatch, capsys):
+    argv = ["answer", NET, "--peer", "Pi", "--query", QUERY]
     monkeypatch.setenv("P2PQ_STEP_CEILING", "1")
-    assert main(["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)"]) == 1
-    assert "fixpoint ceiling" in capsys.readouterr().err
-    monkeypatch.setenv("P2PQ_STEP_CEILING", "banana")
-    assert main(["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)"]) == 1
-    assert "P2PQ_STEP_CEILING" in capsys.readouterr().err
-    # an integer below 1 is refused as well, not taken as a ceiling
-    for raw in ("0", "-3"):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: fixpoint ceiling exceeded (1 steps)\n"
+    # only ASCII digits spell a ceiling: an integer below 1 is refused,
+    # and so is every other text that int() reads, with a sign, spaces,
+    # an underscore or fullwidth digits, and digits past int()'s limit
+    past_the_limit = ["1" * 5000] if hasattr(sys, "get_int_max_str_digits") else []
+    for raw in ("banana", "0", "-3", "\uff11\uff12", "1_000", " 7 ", "+5", *past_the_limit):
         monkeypatch.setenv("P2PQ_STEP_CEILING", raw)
-        assert main(["answer", NET, "--peer", "Pi", "--query", "q(x) :- A(x, y), B(y)"]) == 1
+        assert main(argv) == 1
         assert capsys.readouterr().err == f"error: P2PQ_STEP_CEILING must be a positive integer, got {raw!r}\n"
 
 

@@ -25,7 +25,8 @@ from p2pq.cli import main
 from generators import rand_network, rand_peer_query
 from oracles import brute_force_contains
 
-TWO_PEER = Path(__file__).resolve().parent.parent / "demos" / "networks" / "two_peer.json"
+NETWORKS = Path(__file__).resolve().parent.parent / "demos" / "networks"
+TWO_PEER = NETWORKS / "two_peer.json"
 
 
 def two_peer():
@@ -133,6 +134,17 @@ def test_weak_closure_ceiling():
     net = two_peer()
     with pytest.raises(CeilingError, match="closure ceiling"):
         weak_closure(net, "Pi", Q_I, node_ceiling=1)
+
+
+def test_check_theorem_bounds_the_closure_by_the_step_ceiling(monkeypatch):
+    # one ceiling bounds both traversals: with an agent that stops, the
+    # divergent demo's closure is still cut at the agent's ceiling
+    net = load_network((NETWORKS / "divergent.json").read_text())
+    finite = AgentResult({pid: frozenset() for pid in net.peer_ids()})
+    monkeypatch.setattr(p2pq.oracle, "run", lambda *args, **kwargs: finite)
+    with pytest.raises(CeilingError) as err:
+        check_theorem(net, "P3", parse_query("q(x) :- R3a(y, y), R3b(x)"), step_ceiling=12)
+    assert str(err.value) == "closure ceiling exceeded (12 nodes)"
 
 
 def test_check_theorem_two_peer():

@@ -29,7 +29,7 @@ from p2pq import (
     unfold,
     Var,
 )
-from p2pq import rewriting
+from p2pq import queries, rewriting
 from generators import rand_network, rand_peer_query
 from oracles import brute_force_equivalent_rewriting, reference_minicon
 
@@ -251,6 +251,35 @@ def test_minicon_containment_work_on_the_boolean_3_clique(monkeypatch):
     psi = minicon(q, views("r(x, y) :- R(x, y)", "s(x, z) :- R(x, y), R(y, z)"), "P0")
     assert str(psi.query) == "q() :- r(x0, x1), r(x0, x2), r(x1, x0), r(x1, x2), r(x2, x0), r(x2, x1)"
     assert calls == 2234
+
+
+def test_minicon_core_probe_on_the_six_clique_prunes_by_automorphisms(monkeypatch):
+    # the first cover short of the body asks whether q is a core.  The
+    # boolean 6-clique is one, with 720 automorphisms: that search visits
+    # 24,691 nodes walking them all, 465 pruning with those it meets
+    calls = 0
+    probing = False
+    candidates, smaller_image = queries._candidates, rewriting._smaller_image
+
+    def counting_candidates(*args):
+        nonlocal calls
+        calls += probing
+        return candidates(*args)
+
+    def probe(*args):
+        nonlocal probing
+        probing = True
+        try:
+            return smaller_image(*args)
+        finally:
+            probing = False
+
+    monkeypatch.setattr(queries, "_candidates", counting_candidates)
+    monkeypatch.setattr(rewriting, "_smaller_image", probe)
+    edges = ", ".join(f"E(x{i}, x{j})" for i in range(6) for j in range(6) if i != j)
+    psi = minicon(parse_query(f"q() :- {edges}"), views("e(x, y) :- E(x, y)", f"k() :- {edges}"), "P")
+    assert str(psi.query) == "q() :- k()"
+    assert 0 < calls <= 1_000
 
 
 def test_minicon_tests_each_cover_of_a_non_core_once(monkeypatch):
